@@ -13,7 +13,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -24,13 +24,19 @@ from .states import StateSpec
 
 @dataclass(frozen=True)
 class AnalysisConfig:
-    tol_violation: float = 1e-9
-    eps_rank: float = 1e-12
-    fd_step: float = 1e-4
+    tol_violation: float = criteria.TOL_VIOLATION
+    eps_rank: float = qfi.EPS_RANK
+    fd_step: float = interferometer.FD_STEP
     seed: int = 0
     dimension_cap: int = 4096
 
     def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            accepted = (int, float) if field.type == "float" else int
+            if isinstance(value, bool) or not isinstance(value, accepted):
+                raise ValidationError(f"config field {field.name} must be of type "
+                                      f"{field.type}, got {value!r}")
         for name in ("tol_violation", "eps_rank", "fd_step"):
             if getattr(self, name) <= 0:
                 raise ValidationError(f"config field {name} must be positive")
@@ -41,13 +47,7 @@ class AnalysisConfig:
             raise ValidationError("seed must be a nonnegative integer")
 
     def to_dict(self) -> dict:
-        return {
-            "tol_violation": self.tol_violation,
-            "eps_rank": self.eps_rank,
-            "fd_step": self.fd_step,
-            "seed": int(self.seed),
-            "dimension_cap": int(self.dimension_cap),
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------- serialization
@@ -121,8 +121,7 @@ def load_config(args) -> AnalysisConfig:
             raise SpecError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise SpecError("config document must be an object")
-        unknown = set(doc) - {"tol_violation", "eps_rank", "fd_step", "seed",
-                              "dimension_cap"}
+        unknown = set(doc) - {field.name for field in fields(AnalysisConfig)}
         if unknown:
             raise SpecError(f"unknown config fields: {sorted(unknown)}")
         cfg = replace(cfg, **doc)
@@ -161,18 +160,6 @@ def _spec_id(spec: StateSpec) -> str:
 
 # ---------------------------------------------------------------- subcommands
 
-def _criterion_doc(rep: criteria.CriterionReport) -> dict:
-    return {
-        "criterion_id": rep.criterion_id,
-        "bound": rep.bound,
-        "value": rep.value,
-        "margin": rep.margin,
-        "violated": rep.violated,
-        "implication": rep.implication,
-        "direction": rep.direction,
-    }
-
-
 def analysis_document(spec: StateSpec, cfg: AnalysisConfig) -> dict:
     state = states.from_spec(spec, cap=cfg.dimension_cap)
     qmat = qfi.qfi_matrix(state, eps_rank=cfg.eps_rank)
@@ -185,13 +172,9 @@ def analysis_document(spec: StateSpec, cfg: AnalysisConfig) -> dict:
         "qfi_matrix": [[float(v) for v in row] for row in qmat.mat],
         "qfi_matrix_eigenvalues": [float(v) for v in qmat.eigenvalues],
         "average_qfi": qmat.trace / 3.0,
-        "criteria": [_criterion_doc(r) for r in reports],
+        "criteria": [asdict(r) for r in reports],
         "unentangled_summary": criteria.unentangled_summary(reports),
-        "depth_certificate": {
-            "depth_lower_bound": depth.depth_lower_bound,
-            "witnessing_criterion": depth.witnessing_criterion,
-            "witness_value": depth.witness_value,
-        },
+        "depth_certificate": asdict(depth),
         "diagnostics": {
             "hermiticity_residue": state.herm_residue,
             "qfi_imag_residue": qmat.imag_residue,

@@ -13,18 +13,19 @@ Bound families
 * variance floor:        separable states keep sum_l (Delta J_l)^2 >= N/2,
                          so dropping below the floor flags entanglement
 
-Violating a k-producible bound certifies (k+1)-particle entanglement; the
-depth ladder walks k upward and reports 1 + the largest violated k. The
-spectral forms replace the axis values with the trace and largest eigenvalue
-of the QFI matrix, which makes them invariant under collective single-qubit
-rotations.
+The spectral forms replace the axis values with the trace and largest
+eigenvalue of the QFI matrix, which makes them invariant under collective
+single-qubit rotations.
+
+One table, ladder(N), lists every bound in report order; evaluate_all,
+spectral_criteria and depth_lower_bound all read it. Violating a
+k-producible rung certifies (k+1)-particle entanglement (separable is k = 1),
+so the depth is 1 + the largest violated k and the witness is that row.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
-
-import numpy as np
 
 from .errors import ValidationError
 from .qfi import QfiMatrix, qfi_matrix, variance
@@ -59,19 +60,28 @@ class DepthCertificate:
     witness_value: float
 
 
-def _report(criterion_id: str, bound: float, value: float, implication: Optional[str],
-            tol: float, direction: str = "above") -> CriterionReport:
-    margin = (value - bound) if direction == "above" else (bound - value)
-    violated = margin > tol
-    return CriterionReport(
-        criterion_id=criterion_id,
-        bound=float(bound),
-        value=float(value),
-        margin=float(margin),
-        violated=violated,
-        implication=implication if violated else None,
-        direction=direction,
-    )
+@dataclass(frozen=True)
+class Rung:
+    """One bound of the ladder, before it meets a state.
+
+    statistic names the value the bound caps: "sum" and "peak" of the Fisher
+    triple, "trace" and "top" eigenvalue of the QFI matrix, or the collective
+    "variance" sum. k is the depth rung a violation certifies (k + 1 particles
+    entangled) and 0 for rows outside the depth ladder.
+    """
+
+    criterion_id: str
+    bound: float
+    statistic: str
+    implication: Optional[str]
+    k: int = 0
+    direction: str = "above"
+
+    def evaluate(self, value: float, tol: float) -> CriterionReport:
+        margin = (value - self.bound) if self.direction == "above" else (self.bound - value)
+        violated = margin > tol
+        return CriterionReport(self.criterion_id, float(self.bound), float(value), float(margin),
+                               violated, self.implication if violated else None, self.direction)
 
 
 def _check_n(n_qubits: int) -> int:
@@ -94,21 +104,21 @@ def bound_max_sum(n_qubits: int) -> float:
     return float(n * (n + 2))
 
 
-def bound_kprod_single(n_qubits: int, k: int) -> float:
+def _packing(n_qubits: int, k: int) -> Tuple[int, int]:
+    """(full k-qubit blocks, leftover qubits) of the k-producible optimum."""
     n = _check_n(n_qubits)
     if not 1 <= k <= n:
         raise ValidationError(f"k={k} out of range 1..{n}")
-    blocks = n // k
-    rem = n - blocks * k
+    return n // k, n % k
+
+
+def bound_kprod_single(n_qubits: int, k: int) -> float:
+    blocks, rem = _packing(n_qubits, k)
     return float(blocks * k * k + rem * rem)
 
 
 def bound_kprod_sum(n_qubits: int, k: int) -> float:
-    n = _check_n(n_qubits)
-    if not 1 <= k <= n:
-        raise ValidationError(f"k={k} out of range 1..{n}")
-    blocks = n // k
-    rem = n - blocks * k
+    blocks, rem = _packing(n_qubits, k)
     tail = 2.0 if rem == 1 else float(rem * (rem + 2))
     return float(blocks * k * (k + 2)) + tail
 
@@ -130,102 +140,98 @@ def bound_unentangled(n_qubits: int, m_unentangled: int) -> float:
     return float(m + (n - m) * (n - m + 2))
 
 
+def ladder(n_qubits: int) -> List[Rung]:
+    """Every bound for N qubits, in report order.
+
+    Only the spectral rungs carry k > 0: trace == sum and top >= peak, so up
+    to rounding they fire whenever a per-axis form of the same rung does.
+    """
+    n = _check_n(n_qubits)
+    sep_sum, sep_single = bound_separable_sum(n), bound_separable_single(n)
+    rungs = [
+        Rung("separable_sum", sep_sum, "sum", "entangled"),
+        Rung("separable_single", sep_single, "peak", "entangled"),
+        Rung("sum_ceiling", bound_max_sum(n), "sum", None),
+    ]
+    for k in range(2, n):
+        implication = f"not_{k}_producible"
+        rungs += [Rung(f"kprod_single_k{k}", bound_kprod_single(n, k), "peak", implication),
+                  Rung(f"kprod_sum_k{k}", bound_kprod_sum(n, k), "sum", implication)]
+    if n >= 2:
+        single_b, sum_b = bounds_biseparable(n)
+        rungs += [Rung("biseparable_single", single_b, "peak", "genuine_multipartite"),
+                  Rung("biseparable_sum", sum_b, "sum", "genuine_multipartite")]
+    rungs += [Rung(f"unentangled_m{m}", bound_unentangled(n, m), "sum",
+                   f"fewer_than_{m}_unentangled") for m in range(1, n + 1)]
+    rungs += [_variance_rung(n),
+              Rung("spectral_trace_separable", sep_sum, "trace", "entangled", k=1),
+              Rung("spectral_max_separable", sep_single, "top", "entangled", k=1)]
+    for k in range(2, n):
+        implication = "genuine_multipartite" if k == n - 1 else f"not_{k}_producible"
+        rungs += [Rung(f"spectral_trace_kprod_k{k}", bound_kprod_sum(n, k), "trace",
+                       implication, k),
+                  Rung(f"spectral_max_kprod_k{k}", bound_kprod_single(n, k), "top",
+                       implication, k)]
+    return rungs
+
+
+def _variance_rung(n: int) -> Rung:
+    return Rung("variance_floor", n / 2.0, "variance", "entangled", direction="below")
+
+
+def _qfi_statistics(qmat: QfiMatrix) -> dict:
+    """Every statistic except the variance sum, which needs the state."""
+    triple = qmat.fisher_triple
+    return {"sum": float(triple.sum()), "peak": float(triple.max()),
+            "trace": qmat.trace, "top": float(qmat.eigenvalues[-1])}
+
+
 def variance_criterion(state: QuantumState, tol: float = TOL_VIOLATION) -> CriterionReport:
     """Flag entanglement when the collective variance sum drops below N/2."""
     total = sum(variance(state, j) for j in collective_all(state.n_qubits))
-    return _report("variance_floor", state.n_qubits / 2.0, total,
-                   "entangled", tol, direction="below")
+    return _variance_rung(state.n_qubits).evaluate(total, tol)
 
 
 def spectral_criteria(qmat: QfiMatrix, n_qubits: int, k: int,
                       tol: float = TOL_VIOLATION) -> List[CriterionReport]:
-    """Rotation-invariant forms: trace and largest eigenvalue of the matrix."""
+    """Rotation-invariant forms: the separable rungs and the k-producible rung."""
     n = _check_n(n_qubits)
-    tr = qmat.trace
-    top = float(qmat.eigenvalues[-1])
-    if k == n - 1:
-        implication = "genuine_multipartite"
-    else:
-        implication = f"not_{k}_producible"
-    return [
-        _report("spectral_trace_separable", bound_separable_sum(n), tr, "entangled", tol),
-        _report("spectral_max_separable", bound_separable_single(n), top, "entangled", tol),
-        _report(f"spectral_trace_kprod_k{k}", bound_kprod_sum(n, k), tr, implication, tol),
-        _report(f"spectral_max_kprod_k{k}", bound_kprod_single(n, k), top, implication, tol),
-    ]
+    if not 1 <= k < n:
+        raise ValidationError(f"k={k} out of range 1..{n - 1}")
+    stats = _qfi_statistics(qmat)
+    return [rung.evaluate(stats[rung.statistic], tol)
+            for rung in ladder(n) if rung.k in (1, k)]
 
 
 def depth_lower_bound(state: QuantumState, tol: float = TOL_VIOLATION,
                       qmat: Optional[QfiMatrix] = None) -> DepthCertificate:
-    """Certified entanglement depth from the k-producibility ladder.
+    """Certified entanglement depth: 1 + the largest k of a violated rung.
 
-    Uses the rotation-invariant trace and max-eigenvalue forms. The k=1 sum
-    bound is the separable value 2N, which is tighter than the k-producible
-    formula evaluated at k=1.
+    The witness is that rung's row; when both forms fire at that k the larger
+    margin wins, and a tie goes to the max-eigenvalue form.
     """
-    n = state.n_qubits
     if qmat is None:
         qmat = qfi_matrix(state)
-    tr = qmat.trace
-    top = float(qmat.eigenvalues[-1])
-    best_k = 0
-    witness = ("none", 0.0)
-    for k in range(1, n):
-        sum_bound = bound_separable_sum(n) if k == 1 else bound_kprod_sum(n, k)
-        single_bound = bound_kprod_single(n, k)
-        sum_hit = tr - sum_bound > tol
-        single_hit = top - single_bound > tol
-        if sum_hit or single_hit:
-            best_k = k
-            # prefer the larger margin when both forms fire
-            if single_hit and (not sum_hit or top - single_bound >= tr - sum_bound):
-                witness = (f"spectral_max_kprod_k{k}", top)
-            else:
-                witness = (f"spectral_trace_kprod_k{k}" if k > 1 else "spectral_trace_separable", tr)
-    return DepthCertificate(depth_lower_bound=best_k + 1,
-                            witnessing_criterion=witness[0],
-                            witness_value=witness[1])
+    stats = _qfi_statistics(qmat)
+    hits = [(rung.k, rep.margin, rung.statistic == "top", rep)
+            for rung in ladder(state.n_qubits) if rung.k > 0
+            for rep in [rung.evaluate(stats[rung.statistic], tol)] if rep.violated]
+    if not hits:
+        return DepthCertificate(1, "none", 0.0)
+    k, _, _, rep = max(hits, key=lambda hit: hit[:3])
+    return DepthCertificate(k + 1, rep.criterion_id, rep.value)
 
 
 def evaluate_all(state: QuantumState, tol: float = TOL_VIOLATION,
                  qmat: Optional[QfiMatrix] = None
                  ) -> Tuple[List[CriterionReport], DepthCertificate]:
-    """Every bound, in a deterministic order, plus the depth certificate."""
-    n = state.n_qubits
+    """Every rung of the ladder, in order, plus the depth certificate."""
     if qmat is None:
         qmat = qfi_matrix(state)
-    triple = qmat.fisher_triple
-    total = float(triple.sum())
-    peak = float(triple.max())
-
-    reports: List[CriterionReport] = [
-        _report("separable_sum", bound_separable_sum(n), total, "entangled", tol),
-        _report("separable_single", bound_separable_single(n), peak, "entangled", tol),
-        _report("sum_ceiling", bound_max_sum(n), total, None, tol),
-    ]
-    for k in range(2, n):
-        implication = f"not_{k}_producible"
-        reports.append(_report(f"kprod_single_k{k}", bound_kprod_single(n, k),
-                               peak, implication, tol))
-        reports.append(_report(f"kprod_sum_k{k}", bound_kprod_sum(n, k),
-                               total, implication, tol))
-    if n >= 2:
-        single_b, sum_b = bounds_biseparable(n)
-        reports.append(_report("biseparable_single", single_b, peak,
-                               "genuine_multipartite", tol))
-        reports.append(_report("biseparable_sum", sum_b, total,
-                               "genuine_multipartite", tol))
-    for m in range(1, n + 1):
-        reports.append(_report(f"unentangled_m{m}", bound_unentangled(n, m),
-                               total, f"fewer_than_{m}_unentangled", tol))
-    reports.append(variance_criterion(state, tol))
-    top = float(qmat.eigenvalues[-1])
-    reports.append(_report("spectral_trace_separable", bound_separable_sum(n),
-                           qmat.trace, "entangled", tol))
-    reports.append(_report("spectral_max_separable", bound_separable_single(n),
-                           top, "entangled", tol))
-    for k in range(2, n):
-        reports.extend(spectral_criteria(qmat, n, k, tol)[2:])
+    stats = _qfi_statistics(qmat)
+    reports = [variance_criterion(state, tol) if rung.statistic == "variance"
+               else rung.evaluate(stats[rung.statistic], tol)
+               for rung in ladder(state.n_qubits)]
     return reports, depth_lower_bound(state, tol, qmat)
 
 

@@ -69,6 +69,20 @@ def haar_ket(dim: int, rng) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def ghz_ket(n: int) -> np.ndarray:
+    """(|0...0> + |1...1>)/sqrt(2) on n qubits."""
+    v = np.zeros(2 ** n, dtype=complex)
+    v[0] = v[-1] = 1 / np.sqrt(2)
+    return v
+
+
+def one_axis_twisted(n: int, mu: float) -> np.ndarray:
+    """Density matrix of exp(-i mu J_z^2) |+x>^N."""
+    jz = np.diag(collective_op("z", n)).real
+    v = np.exp(-1j * mu * jz ** 2) / np.sqrt(2 ** n)
+    return np.outer(v, v.conj())
+
+
 def haar_pure(n: int, rng) -> np.ndarray:
     """Density matrix of a Haar-random N-qubit pure state."""
     v = haar_ket(2 ** n, rng)

@@ -90,6 +90,24 @@ def test_config_rejects_unknown_keys(tmp_path):
         cli.load_config(ns)
 
 
+@pytest.mark.parametrize("doc", [
+    {"dimension_cap": 4096.0},
+    {"seed": "7"},
+    {"tol_violation": None},
+    {"seed": 2.5},
+], ids=["float-cap", "string-seed", "null-tol", "fractional-seed"])
+def test_config_wrong_type_is_validation_error(tmp_path, capsys, doc):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    spec = write_spec(tmp_path, "ghz4.json", GHZ4)
+    assert main(["analyze", spec, "--config", str(cfg_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)["error"]
+    assert err["type"] == "ValidationError"
+    assert next(iter(doc)) in err["message"]
+
+
 # ------------------------------------------------------------ analyze
 
 def test_analyze_document_shape(tmp_path, capsys):

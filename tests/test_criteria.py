@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spinqfi import criteria, qfi, states
 from spinqfi.errors import ValidationError
@@ -127,6 +128,10 @@ def test_spectral_criteria_ids_and_implications():
     reps2 = criteria.spectral_criteria(qfi.qfi_matrix(st), 4, 2)
     assert reps2[2].criterion_id == "spectral_trace_kprod_k2"
     assert reps2[2].violated and reps2[2].implication == "not_2_producible"
+    assert [r.criterion_id for r in criteria.spectral_criteria(qfi.qfi_matrix(st), 4, 1)] \
+        == ids[:2]
+    with pytest.raises(ValidationError):
+        criteria.spectral_criteria(qfi.qfi_matrix(st), 4, 4)
 
 
 def test_spectral_forms_invariant_under_basis_choice():
@@ -193,6 +198,40 @@ def test_depth_trivial_for_unentangled_states():
     cert = criteria.depth_lower_bound(states.completely_mixed(3))
     assert cert.depth_lower_bound == 1
     assert cert.witnessing_criterion == "none"
+
+
+def test_depth_witness_at_k1_is_a_row():
+    # one-axis twisting lifts the top QFI eigenvalue past N long before the
+    # trace passes 2N, so the max-eigenvalue form witnesses the k = 1 rung
+    n = 6
+    state = states.from_matrix(helpers.one_axis_twisted(n, 0.1), n)
+    reports, cert = criteria.evaluate_all(state)
+    assert cert.depth_lower_bound == 2
+    assert cert.witnessing_criterion == "spectral_max_separable"
+    assert cert.witness_value == pytest.approx(9.5728, abs=1e-4)
+    row = next(r for r in reports if r.criterion_id == cert.witnessing_criterion)
+    assert row.violated and row.value == cert.witness_value
+
+
+def _spectral_k(criterion_id):
+    if criterion_id.endswith("_separable"):
+        return 1
+    return int(criterion_id.rsplit("_k", 1)[1])
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(n=st.integers(2, 4), mixed=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_depth_is_one_plus_largest_violated_spectral_rung(n, mixed, seed):
+    rng = np.random.default_rng(seed)
+    rho = helpers.ginibre_mixed(n, rng) if mixed else helpers.haar_pure(n, rng)
+    reports, cert = criteria.evaluate_all(states.from_matrix(rho, n))
+    hit = {r.criterion_id: _spectral_k(r.criterion_id) for r in reports
+           if r.violated and r.criterion_id.startswith("spectral_")}
+    assert cert.depth_lower_bound == 1 + max(hit.values(), default=0)
+    if cert.depth_lower_bound == 1:
+        assert cert.witnessing_criterion == "none"
+    else:
+        assert hit.get(cert.witnessing_criterion) == cert.depth_lower_bound - 1
 
 
 def test_noise_threshold_straddles_biseparable_sum():
@@ -295,3 +334,33 @@ def test_kproducible_mixtures_respect_their_rung(k):
                 assert not (rep.criterion_id.endswith(f"_k{kk}") and rep.violated), \
                     rep.criterion_id
             assert not (rep.criterion_id.startswith("biseparable") and rep.violated)
+
+
+# ------------------------------------------------------------ tightness
+
+def _block_state(*kets):
+    v = helpers.kron_chain(kets).ravel()
+    return states.from_matrix(np.outer(v, v.conj()), int(math.log2(v.size)))
+
+
+ZERO = np.array([1.0, 0.0], dtype=complex)
+PLUS_X = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2)
+
+
+@pytest.mark.parametrize("kets,triple,met", [
+    ((helpers.ghz_ket(3), helpers.ghz_ket(3)), (6, 6, 18),
+     {"kprod_single_k3": 18.0, "kprod_sum_k3": 30.0}),
+    ((helpers.ghz_ket(5), ZERO), (6, 6, 25), {"biseparable_sum": 37.0}),
+    ((helpers.ghz_ket(5), PLUS_X), (5, 6, 26),
+     {"biseparable_single": 26.0, "biseparable_sum": 37.0}),
+], ids=["ghz3-ghz3", "ghz5-zero", "ghz5-plusx"])
+def test_bounds_are_attained_by_ghz_blocks(kets, triple, met):
+    state = _block_state(*kets)
+    np.testing.assert_allclose(qfi.fisher_triple(state), triple, atol=1e-9)
+    reports, _ = criteria.evaluate_all(state)
+    by_id = {r.criterion_id: r for r in reports}
+    for criterion_id, bound in met.items():
+        rep = by_id[criterion_id]
+        assert rep.bound == bound
+        assert rep.value == pytest.approx(bound, abs=1e-9)
+        assert not rep.violated
