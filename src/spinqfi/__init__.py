@@ -9,111 +9,3 @@ landscape (the (F_x, F_y, F_z) geometry), cli (the command surface).
 """
 
 __version__ = "0.1.0"
-
-from .errors import (
-    DimensionCapError,
-    NumericalError,
-    SpecError,
-    SpinQfiError,
-    ValidationError,
-)
-from .matcore import SpectralDecomposition, eigh, herm_exp, kron, kron_all
-from .collective import collective_all, collective_j, j_direction, pauli_at
-from .states import (
-    QuantumState,
-    StateSpec,
-    completely_mixed,
-    dicke,
-    dicke_superposition,
-    even_parity,
-    excited_dicke,
-    from_matrix,
-    from_spec,
-    ghz,
-    mix,
-    product_bloch,
-    white_noise_mix,
-)
-from .qfi import (
-    QfiMatrix,
-    average_qfi,
-    fisher_triple,
-    qfi_direction,
-    qfi_matrix,
-    skew_information,
-    variance,
-)
-from .criteria import (
-    CriterionReport,
-    DepthCertificate,
-    bound_kprod_single,
-    bound_kprod_sum,
-    bound_max_sum,
-    bound_separable_single,
-    bound_separable_sum,
-    bound_unentangled,
-    bounds_biseparable,
-    depth_lower_bound,
-    evaluate_all,
-    spectral_criteria,
-    unentangled_summary,
-    variance_criterion,
-)
-from .interferometer import (
-    Measurement,
-    PhaseSetting,
-    classical_fisher,
-    classical_fisher_report,
-    crb_bound,
-    evolve,
-)
-from .landscape import (
-    ClosedFormReport,
-    ConsistencyReport,
-    FisherPoint,
-    Polytope,
-    alpha_for_point,
-    closed_form_check,
-    closed_form_triple,
-    landmark_consistency,
-    landmark_points,
-    landmark_specs,
-    landmark_states,
-    named_polytope,
-    noise_line,
-    noise_scale,
-    noise_weight_for_scale,
-    polytope_contains,
-    product_state_for_point,
-    realize_dicke_point,
-    realize_product_point,
-    sample_dicke_plane,
-    sample_product_polytope,
-)
-
-__all__ = [
-    "__version__",
-    "SpinQfiError", "SpecError", "ValidationError", "NumericalError",
-    "DimensionCapError",
-    "SpectralDecomposition", "kron", "kron_all", "eigh", "herm_exp",
-    "pauli_at", "collective_j", "collective_all", "j_direction",
-    "StateSpec", "QuantumState", "ghz", "dicke", "product_bloch",
-    "even_parity", "dicke_superposition", "excited_dicke", "completely_mixed",
-    "white_noise_mix", "mix", "from_matrix", "from_spec",
-    "QfiMatrix", "qfi_matrix", "fisher_triple", "qfi_direction", "variance",
-    "average_qfi", "skew_information",
-    "CriterionReport", "DepthCertificate", "bound_separable_sum",
-    "bound_separable_single", "bound_max_sum", "bound_kprod_single",
-    "bound_kprod_sum", "bounds_biseparable", "bound_unentangled",
-    "variance_criterion", "spectral_criteria", "depth_lower_bound",
-    "evaluate_all", "unentangled_summary",
-    "PhaseSetting", "Measurement", "evolve", "classical_fisher",
-    "classical_fisher_report", "crb_bound",
-    "FisherPoint", "Polytope", "ConsistencyReport", "ClosedFormReport",
-    "landmark_points", "landmark_specs", "landmark_states",
-    "landmark_consistency", "named_polytope", "polytope_contains",
-    "product_state_for_point", "noise_scale", "noise_weight_for_scale",
-    "realize_product_point", "sample_product_polytope", "sample_dicke_plane",
-    "noise_line", "closed_form_triple", "closed_form_check",
-    "alpha_for_point", "realize_dicke_point",
-]

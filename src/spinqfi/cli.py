@@ -104,7 +104,7 @@ def load_spec_file(path: str) -> StateSpec:
             doc = json.load(fh)
     except OSError as exc:
         raise SpecError(f"cannot read spec file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, bad UTF-8, over-long integers
         raise SpecError(f"spec file {path} is not valid JSON: {exc}") from exc
     return StateSpec.from_dict(doc)
 
@@ -117,7 +117,7 @@ def load_config(args) -> AnalysisConfig:
                 doc = json.load(fh)
         except OSError as exc:
             raise SpecError(f"cannot read config file {args.config}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise SpecError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise SpecError("config document must be an object")
@@ -132,30 +132,6 @@ def load_config(args) -> AnalysisConfig:
     if getattr(args, "max_qubits", None) is not None:
         cfg = replace(cfg, dimension_cap=2 ** args.max_qubits)
     return cfg
-
-
-def _spec_id(spec: StateSpec) -> str:
-    """Compact single-token state descriptor for point-cloud rows."""
-    parts = [spec.kind]
-    if spec.n_qubits is not None:
-        parts.append(f"n={spec.n_qubits}")
-    if spec.kind in ("ghz", "dicke", "excited_dicke"):
-        parts.append(f"basis={spec.basis}")
-    if spec.m is not None:
-        parts.append(f"m={spec.m}")
-    if spec.c is not None:
-        parts.append("c=" + "/".join(_format_float(v) for v in spec.c))
-    if spec.alpha is not None:
-        parts.append("alpha=" + "/".join(
-            f"{_format_float(z.real)}{z.imag:+.17g}j" for z in spec.alpha))
-    if spec.coeffs is not None:
-        parts.append("coeffs=" + "/".join(
-            f"{_format_float(z.real)}{z.imag:+.17g}j" for z in spec.coeffs))
-    if spec.p is not None:
-        parts.append(f"p={_format_float(spec.p)}")
-    if spec.inner is not None:
-        parts.append("inner=(" + _spec_id(spec.inner) + ")")
-    return " ".join(parts)
 
 
 # ---------------------------------------------------------------- subcommands
@@ -183,12 +159,20 @@ def analysis_document(spec: StateSpec, cfg: AnalysisConfig) -> dict:
     }
 
 
+def depth_document(spec: StateSpec, cfg: AnalysisConfig) -> dict:
+    state = states.from_spec(spec, cap=cfg.dimension_cap)
+    qmat = qfi.qfi_matrix(state, eps_rank=cfg.eps_rank)
+    return {
+        "tool": {"name": "spinqfi", "version": __version__},
+        "input_spec": spec.to_dict(),
+        "depth_certificate": asdict(criteria.depth_lower_bound(
+            state, cfg.tol_violation, qmat)),
+    }
+
+
 def cmd_analyze(args) -> int:
     cfg = load_config(args)
-    docs = [analysis_document(load_spec_file(path), cfg) for path in args.spec]
-    if getattr(args, "depth_only", False):
-        docs = [{"tool": d["tool"], "input_spec": d["input_spec"],
-                 "depth_certificate": d["depth_certificate"]} for d in docs]
+    docs = [args.document(load_spec_file(path), cfg) for path in args.spec]
     top = docs[0] if len(docs) == 1 else {"reports": docs}
     _emit(dumps(top) + "\n", args.out)
     return 0
@@ -197,16 +181,18 @@ def cmd_analyze(args) -> int:
 def cmd_landscape(args) -> int:
     cfg = load_config(args)
     n = args.n_qubits
+    if args.family in ("dicke_plane", "product_fill"):
+        states.check_qubits(n, cfg.dimension_cap)
     rows = []
     if args.family == "landmarks":
         for name, point in landscape.landmark_points(n).items():
             rows.append((point.p, name))
     elif args.family == "dicke_plane":
         for point in landscape.sample_dicke_plane(n, args.count, cfg.seed):
-            rows.append((point.p, _spec_id(point.provenance)))
+            rows.append((point.p, point.provenance.label()))
     elif args.family == "product_fill":
         for point in landscape.sample_product_polytope(n, args.count, cfg.seed):
-            rows.append((point.p, _spec_id(point.provenance)))
+            rows.append((point.p, point.provenance.label()))
     elif args.family == "noise_line":
         if args.spec:
             base = states.from_spec(load_spec_file(args.spec), cap=cfg.dimension_cap)
@@ -215,7 +201,7 @@ def cmd_landscape(args) -> int:
         grid = np.linspace(0.0, 1.0, max(2, args.count))
         result = landscape.noise_line(base, grid)
         for entry in result.entries:
-            label = _spec_id(entry.measured.provenance) if entry.measured.provenance \
+            label = entry.measured.provenance.label() if entry.measured.provenance \
                 else f"p={_format_float(entry.p)}"
             rows.append((entry.measured.p, label))
     else:
@@ -315,12 +301,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_an = sub.add_parser("analyze", help="full criteria report for state specs")
     p_an.add_argument("spec", nargs="+", help="state-spec JSON files")
     common(p_an)
-    p_an.set_defaults(func=cmd_analyze, depth_only=False)
+    p_an.set_defaults(func=cmd_analyze, document=analysis_document)
 
     p_dep = sub.add_parser("depth", help="entanglement-depth certificate only")
     p_dep.add_argument("spec", nargs="+", help="state-spec JSON files")
     common(p_dep)
-    p_dep.set_defaults(func=cmd_analyze, depth_only=True)
+    p_dep.set_defaults(func=cmd_analyze, document=depth_document)
 
     p_land = sub.add_parser("landscape", help="point clouds in Fisher space")
     p_land.add_argument("family", choices=["landmarks", "dicke_plane",

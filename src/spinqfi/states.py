@@ -7,15 +7,17 @@ running a full eigendecomposition of a 2^N matrix.
 """
 from __future__ import annotations
 
+import inspect
 import math
+import sys
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import SpecError, ValidationError
+from .errors import DimensionCapError, SpecError, ValidationError
 from .matcore import (DIM_CAP, SpectralDecomposition, check_dim, eigh,
                       hermiticity_residue, require_hermitian)
 
@@ -28,15 +30,99 @@ BASIS_ROTATION = {
 }
 
 
-KNOWN_KINDS = frozenset({
-    "ghz", "dicke", "product_bloch", "even_parity", "dicke_superposition",
-    "excited_dicke", "completely_mixed", "white_noise_mix", "raw_matrix",
-})
+# kind -> the StateSpec fields its builder takes (see builder). Every other
+# field of a spec of that kind is rejected on input and left out of its
+# document and label, which list fields in StateSpec field order.
+KIND_FIELDS = {
+    "ghz": ("n_qubits", "basis"),
+    "dicke": ("n_qubits", "basis", "m"),
+    "product_bloch": ("n_qubits", "c"),
+    "even_parity": ("n_qubits", "coeffs"),
+    "dicke_superposition": ("n_qubits", "alpha"),
+    "excited_dicke": ("n_qubits", "basis"),
+    "completely_mixed": ("n_qubits",),
+    "white_noise_mix": ("n_qubits", "p", "inner"),
+    "raw_matrix": ("n_qubits", "matrix"),
+}
+KNOWN_KINDS = frozenset(KIND_FIELDS)
+
+
+def _expect(ok: bool, what: str, value) -> None:
+    if not ok:
+        raise SpecError(f"expected {what}, got {value!r}")
+
+
+def _integer(value) -> int:
+    _expect(isinstance(value, int) and not isinstance(value, bool), "an integer", value)
+    return value
+
+
+def _real(value) -> float:
+    _expect(isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max, "a finite number", value)
+    return float(value)
+
+
+def _string(value) -> str:
+    _expect(isinstance(value, str), "a string", value)
+    return value
+
+
+def _complex(value) -> complex:
+    _expect(isinstance(value, list) and len(value) == 2, "a [re, im] pair", value)
+    return complex(_real(value[0]), _real(value[1]))
+
+
+def _list_of(item, length=None):
+    def decode(value) -> tuple:
+        _expect(isinstance(value, list) and length in (None, len(value)),
+                "a list" if length is None else f"a list of {length}", value)
+        return tuple(item(v) for v in value)
+    return decode
+
+
+def _matrix(value) -> tuple:
+    rows = _list_of(_list_of(_complex))(value)
+    if any(len(row) != len(rows) for row in rows):
+        raise SpecError("expected a square matrix")
+    return rows
+
+
+def _pairs(values) -> list:
+    return [[float(z.real), float(z.imag)] for z in values]
+
+
+def _complex_token(values) -> str:
+    return "/".join(f"{z.real:.17g}{z.imag:+.17g}j" for z in values)
+
+
+class _Codec(NamedTuple):
+    decode: Callable   # JSON value -> field value; raises SpecError
+    encode: Callable   # field value -> JSON value
+    token: Callable    # field value -> point-label token, or None for no token
+
+
+_CODECS = {
+    "n_qubits": _Codec(_integer, int, lambda v: f"n={v}"),
+    "basis": _Codec(_string, str, lambda v: f"basis={v}"),
+    "m": _Codec(_integer, int, lambda v: f"m={v}"),
+    "c": _Codec(_list_of(_real, 3), lambda v: [float(x) for x in v],
+                lambda v: "c=" + "/".join(f"{x:.17g}" for x in v)),
+    "coeffs": _Codec(_list_of(_complex), _pairs, lambda v: "coeffs=" + _complex_token(v)),
+    "alpha": _Codec(_list_of(_complex, 3), _pairs, lambda v: "alpha=" + _complex_token(v)),
+    "p": _Codec(_real, float, lambda v: f"p={v:.17g}"),
+    "inner": _Codec(lambda v: StateSpec.from_dict(v), lambda v: v.to_dict(),
+                    lambda v: f"inner=({v.label()})"),
+    "matrix": _Codec(_matrix, lambda v: [_pairs(row) for row in v], lambda v: None),
+}
 
 
 @dataclass(frozen=True)
 class StateSpec:
-    """Declarative description of a state family, serializable to JSON."""
+    """Declarative description of a state family, serializable to JSON.
+
+    KIND_FIELDS says which fields each kind takes; the others stay None.
+    """
 
     kind: str
     n_qubits: Optional[int] = None
@@ -49,77 +135,46 @@ class StateSpec:
     inner: Optional["StateSpec"] = None
     matrix: Optional[tuple] = None
 
+    def _kind_fields(self):
+        """(name, value) of the kind's fields that are not None, in field order."""
+        taken = KIND_FIELDS.get(self.kind, ())
+        return [(f.name, getattr(self, f.name)) for f in fields(self)
+                if f.name in taken and getattr(self, f.name) is not None]
+
     def to_dict(self) -> dict:
         doc: dict = {"kind": self.kind}
-        if self.n_qubits is not None:
-            doc["n_qubits"] = int(self.n_qubits)
-        if self.kind in ("ghz", "dicke", "excited_dicke"):
-            doc["basis"] = self.basis
-        if self.m is not None:
-            doc["m"] = int(self.m)
-        if self.c is not None:
-            doc["c"] = [float(v) for v in self.c]
-        if self.coeffs is not None:
-            doc["coeffs"] = [[float(v.real), float(v.imag)] for v in self.coeffs]
-        if self.alpha is not None:
-            doc["alpha"] = [[float(v.real), float(v.imag)] for v in self.alpha]
-        if self.p is not None:
-            doc["p"] = float(self.p)
-        if self.inner is not None:
-            doc["inner"] = self.inner.to_dict()
-        if self.matrix is not None:
-            doc["matrix"] = [[[float(z.real), float(z.imag)] for z in row]
-                             for row in self.matrix]
+        for name, value in self._kind_fields():
+            doc[name] = _CODECS[name].encode(value)
         return doc
+
+    def label(self) -> str:
+        """Compact single-token state descriptor for point-cloud rows."""
+        tokens = [_CODECS[name].token(value) for name, value in self._kind_fields()]
+        return " ".join([self.kind] + [t for t in tokens if t is not None])
 
     @staticmethod
     def from_dict(doc) -> "StateSpec":
+        """Parse a JSON document; integers must be JSON integers and reals
+        finite JSON numbers (bools are neither). Raises SpecError."""
         if not isinstance(doc, dict):
             raise SpecError(f"state spec must be an object, got {type(doc).__name__}")
         kind = doc.get("kind")
         if not isinstance(kind, str):
             raise SpecError("state spec is missing a string 'kind' field")
-        if kind not in KNOWN_KINDS:
+        if kind not in KIND_FIELDS:
             raise SpecError(f"unknown state kind {kind!r}; expected one of "
                             f"{sorted(KNOWN_KINDS)}")
-        known = {"kind", "n_qubits", "basis", "m", "c", "coeffs", "alpha", "p",
-                 "inner", "matrix"}
-        unknown = set(doc) - known
+        unknown = set(doc) - {"kind", *KIND_FIELDS[kind]}
         if unknown:
-            raise SpecError(f"unknown spec fields: {sorted(unknown)}")
-
-        def _complex_list(key):
-            raw = doc.get(key)
-            if raw is None:
-                return None
-            try:
-                return tuple(complex(re, im) for re, im in raw)
-            except (TypeError, ValueError) as exc:
-                raise SpecError(f"field {key!r} must be a list of [re, im] pairs") from exc
-
-        matrix = None
-        if doc.get("matrix") is not None:
-            try:
-                matrix = tuple(tuple(complex(re, im) for re, im in row)
-                               for row in doc["matrix"])
-            except (TypeError, ValueError) as exc:
-                raise SpecError("field 'matrix' must be rows of [re, im] pairs") from exc
-        inner = StateSpec.from_dict(doc["inner"]) if doc.get("inner") is not None else None
-        try:
-            return StateSpec(
-                kind=kind,
-                n_qubits=None if doc.get("n_qubits") is None else int(doc["n_qubits"]),
-                basis=doc.get("basis", "z"),
-                m=None if doc.get("m") is None else int(doc["m"]),
-                c=None if doc.get("c") is None else tuple(float(v) for v in doc["c"]),
-                coeffs=_complex_list("coeffs"),
-                alpha=_complex_list("alpha"),
-                p=None if doc.get("p") is None else float(doc["p"]),
-                inner=inner,
-                matrix=matrix,
-            )
-        except (TypeError, ValueError) as exc:
-            raise SpecError(f"malformed state spec: {exc}") from exc
+            raise SpecError(f"unknown spec fields for kind {kind!r}: {sorted(unknown)}")
+        values = {}
+        for name in KIND_FIELDS[kind]:
+            if name in doc:
+                try:
+                    values[name] = _CODECS[name].decode(doc[name])
+                except SpecError as exc:
+                    raise SpecError(f"field {name!r}: {exc}") from None
+        return StateSpec(kind, **values)
 
 
 class QuantumState:
@@ -242,15 +297,18 @@ def _dicke_vector(n_qubits: int, m: int, basis: str) -> np.ndarray:
     return v
 
 
-def _check_n(n_qubits: int, cap: int) -> None:
+def check_qubits(n_qubits: int, cap: int = DIM_CAP) -> None:
+    """n_qubits >= 1 and 2^n_qubits <= cap; a huge n fails without forming 2^n."""
     if n_qubits < 1:
         raise ValidationError("n_qubits must be positive")
+    if n_qubits > cap.bit_length():
+        raise DimensionCapError(f"dimension 2^{n_qubits} exceeds cap {cap}")
     check_dim(2 ** n_qubits, cap)
 
 
 def ghz(n_qubits: int, basis: str = "z", cap: int = DIM_CAP) -> QuantumState:
     """(|0...0> + |1...1>)/sqrt(2), optionally rotated into the x or y basis."""
-    _check_n(n_qubits, cap)
+    check_qubits(n_qubits, cap)
     v = np.zeros(2 ** n_qubits, dtype=complex)
     v[0] = v[-1] = 1.0 / math.sqrt(2)
     v = _rotate_vector(v, basis, n_qubits)
@@ -259,7 +317,7 @@ def ghz(n_qubits: int, basis: str = "z", cap: int = DIM_CAP) -> QuantumState:
 
 def dicke(n_qubits: int, m: int, basis: str = "z", cap: int = DIM_CAP) -> QuantumState:
     """Symmetric state with m excitations, equal weight on all placements."""
-    _check_n(n_qubits, cap)
+    check_qubits(n_qubits, cap)
     if not 0 <= m <= n_qubits:
         raise ValidationError(f"excitation count m={m} out of range 0..{n_qubits}")
     if basis != "z" and basis not in BASIS_ROTATION:
@@ -273,7 +331,7 @@ def product_bloch(c, n_qubits: int, cap: int = DIM_CAP) -> QuantumState:
 
     c is a real Bloch vector with sum of squares 1.
     """
-    _check_n(n_qubits, cap)
+    check_qubits(n_qubits, cap)
     if n_qubits % 2 != 0:
         raise ValidationError("product_bloch requires an even number of qubits")
     c = np.asarray(c, dtype=float).reshape(3)
@@ -303,7 +361,7 @@ def even_parity(coeffs: Sequence[complex], n_qubits: int, cap: int = DIM_CAP) ->
     coeffs follows even_parity_indices(n_qubits); each index n < N/2 weights
     the normalized pair (|n excitations> + |N-n excitations|)/sqrt(2).
     """
-    _check_n(n_qubits, cap)
+    check_qubits(n_qubits, cap)
     idx = even_parity_indices(n_qubits)
     coeffs = tuple(complex(v) for v in coeffs)
     if len(coeffs) != len(idx):
@@ -329,7 +387,7 @@ def dicke_superposition(alpha, n_qubits: int, cap: int = DIM_CAP) -> QuantumStat
     The three kets are not pairwise orthogonal, so the sum is renormalized
     explicitly. Requires N divisible by 4.
     """
-    _check_n(n_qubits, cap)
+    check_qubits(n_qubits, cap)
     if n_qubits % 4 != 0:
         raise ValidationError("dicke_superposition requires N divisible by 4")
     alpha = np.asarray(alpha, dtype=complex).reshape(3)
@@ -363,7 +421,7 @@ def excited_dicke(n_qubits: int, basis: str = "z", cap: int = DIM_CAP) -> Quantu
     N^2 of the two components transverse to that axis (F_x + F_y for "z"),
     so its three-component sum sits one unit below the biseparable_sum
     bound N^2 + 1."""
-    _check_n(n_qubits, cap)
+    check_qubits(n_qubits, cap)
     if n_qubits % 2 != 0 or n_qubits < 4:
         raise ValidationError("excited_dicke requires even n_qubits >= 4")
     one = np.array([0.0, 1.0], dtype=complex)
@@ -373,7 +431,7 @@ def excited_dicke(n_qubits: int, basis: str = "z", cap: int = DIM_CAP) -> Quantu
 
 
 def completely_mixed(n_qubits: int, cap: int = DIM_CAP) -> QuantumState:
-    _check_n(n_qubits, cap)
+    check_qubits(n_qubits, cap)
     dim = 2 ** n_qubits
     rho = np.eye(dim, dtype=complex) / dim
     spectrum = SpectralDecomposition(values=np.full(dim, 1.0 / dim),
@@ -460,40 +518,40 @@ def from_matrix(matrix, n_qubits: Optional[int] = None, cap: int = DIM_CAP) -> Q
                         herm_residue=residue)
 
 
+def _white_noise(p: float, inner: StateSpec, n_qubits: Optional[int] = None,
+                 cap: int = DIM_CAP) -> QuantumState:
+    """white_noise_mix of the state `inner` describes; n_qubits, when given,
+    must be that state's."""
+    state = from_spec(inner, cap)
+    if n_qubits is not None and n_qubits != state.n_qubits:
+        raise ValidationError(f"white_noise_mix n_qubits={n_qubits} differs from "
+                              f"its inner state's {state.n_qubits}")
+    return white_noise_mix(state, p)
+
+
+def _raw_matrix(matrix, n_qubits: int, cap: int = DIM_CAP) -> QuantumState:
+    """from_matrix, with n_qubits required as every spec but white noise states it."""
+    return from_matrix(matrix, n_qubits, cap)
+
+
+def builder(kind: str):
+    """The constructor from_spec calls for a kind, with the kind's fields as
+    keyword arguments. Names resolve at call time, so a constructor rebound
+    on this module (by a profiler, say) is the one called."""
+    return {"ghz": ghz, "dicke": dicke, "product_bloch": product_bloch,
+            "even_parity": even_parity, "dicke_superposition": dicke_superposition,
+            "excited_dicke": excited_dicke, "completely_mixed": completely_mixed,
+            "white_noise_mix": _white_noise, "raw_matrix": _raw_matrix}[kind]
+
+
 def from_spec(spec: StateSpec, cap: int = DIM_CAP) -> QuantumState:
     """Construct the state a StateSpec describes."""
-    kind = spec.kind
-    need_n = kind != "white_noise_mix"
-    if need_n and spec.n_qubits is None:
-        raise ValidationError(f"spec kind {kind!r} requires n_qubits")
-    if kind == "ghz":
-        return ghz(spec.n_qubits, spec.basis, cap)
-    if kind == "dicke":
-        if spec.m is None:
-            raise ValidationError("dicke spec requires excitation count m")
-        return dicke(spec.n_qubits, spec.m, spec.basis, cap)
-    if kind == "product_bloch":
-        if spec.c is None:
-            raise ValidationError("product_bloch spec requires Bloch coefficients c")
-        return product_bloch(spec.c, spec.n_qubits, cap)
-    if kind == "even_parity":
-        if spec.coeffs is None:
-            raise ValidationError("even_parity spec requires coeffs")
-        return even_parity(spec.coeffs, spec.n_qubits, cap)
-    if kind == "dicke_superposition":
-        if spec.alpha is None:
-            raise ValidationError("dicke_superposition spec requires alpha")
-        return dicke_superposition(spec.alpha, spec.n_qubits, cap)
-    if kind == "excited_dicke":
-        return excited_dicke(spec.n_qubits, spec.basis, cap)
-    if kind == "completely_mixed":
-        return completely_mixed(spec.n_qubits, cap)
-    if kind == "white_noise_mix":
-        if spec.p is None or spec.inner is None:
-            raise ValidationError("white_noise_mix spec requires p and inner")
-        return white_noise_mix(from_spec(spec.inner, cap), spec.p)
-    if kind == "raw_matrix":
-        if spec.matrix is None:
-            raise ValidationError("raw_matrix spec requires matrix")
-        return from_matrix(spec.matrix, spec.n_qubits, cap)
-    raise ValidationError(f"unknown state kind {kind!r}")
+    if spec.kind not in KIND_FIELDS:
+        raise ValidationError(f"unknown state kind {spec.kind!r}")
+    build = builder(spec.kind)
+    kwargs = dict(spec._kind_fields())
+    missing = [name for name, param in inspect.signature(build).parameters.items()
+               if param.default is param.empty and name not in kwargs]
+    if missing:
+        raise ValidationError(f"{spec.kind} spec requires {', '.join(missing)}")
+    return build(**kwargs, cap=cap)

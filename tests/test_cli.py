@@ -191,8 +191,44 @@ def test_exit_code_dimension_cap(tmp_path, capsys):
     assert err["error"]["type"] == "DimensionCapError"
 
 
+@pytest.mark.parametrize("text, code", [
+    (b'{"kind": "ghz", "n_qubits": 3, "m": 2, "c": [1, 0, 0]}', 2),
+    (b'{"kind": "ghz", "n_qubits": 4.7}', 2),
+    (b'{"kind": "ghz", "n_qubits": true}', 2),
+    (b'{"kind": "ghz", "n_qubits": "3"}', 2),
+    (b'{"kind": "ghz", "n_qubits": 1e999}', 2),
+    (b'{"kind": "ghz", "n_qubits": ' + b"9" * 5000 + b"}", 2),
+    (b'{"kind": "dicke", "n_qubits": 4, "m": Infinity}', 2),
+    (b'\xff{"kind": "ghz", "n_qubits": 3}', 2),
+    (b'{"kind": "white_noise_mix", "n_qubits": 5, "p": 0.5,'
+     b' "inner": {"kind": "ghz", "n_qubits": 3}}', 3),
+    (b'{"kind": "ghz", "n_qubits": 1000000000000000}', 5),
+], ids=["foreign-fields", "fractional-n", "bool-n", "string-n", "overflowing-n",
+        "5000-digit-n", "infinite-m", "not-utf8", "noise-size-mismatch", "huge-n"])
+@pytest.mark.parametrize("command", ["analyze", "depth"])
+def test_malformed_spec_is_a_typed_error(tmp_path, capsys, command, text, code):
+    path = tmp_path / "spec.json"
+    path.write_bytes(text)
+    assert main([command, str(path)]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"]["exit_code"] == code
+
+
 def test_numerical_error_exit_code_attribute():
     assert NumericalError.exit_code == 4
+
+
+def test_depth_skips_the_criteria_rows(tmp_path, capsys, monkeypatch):
+    def unused(*args, **kwargs):
+        raise AssertionError("depth evaluated a criteria row")
+    monkeypatch.setattr(cli.criteria, "evaluate_all", unused)
+    monkeypatch.setattr(cli.criteria, "variance_criterion", unused)
+    path = write_spec(tmp_path, "ghz4.json", GHZ4)
+    assert main(["depth", path]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc) == ["tool", "input_spec", "depth_certificate"]
+    assert doc["depth_certificate"]["depth_lower_bound"] == 4
 
 
 # ------------------------------------------------------------ landscape
@@ -232,6 +268,15 @@ def test_product_fill_csv(capsys):
     for row in lines[1:]:
         triple = [float(v) for v in row.split(",")[:3]]
         assert all(-1e-9 <= v <= 4.0 + 1e-9 for v in triple)
+
+
+@pytest.mark.parametrize("family", ["dicke_plane", "product_fill", "noise_line"])
+def test_landscape_families_honour_the_dimension_cap(capsys, family):
+    assert main(["landscape", family, "--n-qubits", "8", "--count", "2",
+                 "--max-qubits", "4"]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"]["type"] == "DimensionCapError"
 
 
 def test_noise_line_csv_monotone(capsys):
@@ -305,6 +350,6 @@ def test_crb_rejects_bad_direction(tmp_path, capsys):
 def test_spec_id_tokens_are_comma_free():
     spec = states.StateSpec.from_dict(
         {"kind": "white_noise_mix", "n_qubits": 4, "p": 0.5, "inner": GHZ4})
-    label = cli._spec_id(spec)
+    label = spec.label()
     assert "," not in label
     assert label == "white_noise_mix n=4 p=0.5 inner=(ghz n=4 basis=z)"

@@ -1,11 +1,14 @@
+import inspect
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spinqfi import states
-from spinqfi.errors import SpecError, ValidationError
+from spinqfi import landscape, states
+from spinqfi.errors import DimensionCapError, SpecError, ValidationError
 
 import helpers
 
@@ -260,6 +263,90 @@ def test_from_dict_rejects_malformed_documents():
     with pytest.raises(SpecError):
         states.StateSpec.from_dict({"kind": "dicke_superposition", "n_qubits": 4,
                                     "alpha": [1.0, 0.0, 0.0]})
+
+
+GHZ3 = {"kind": "ghz", "n_qubits": 3}
+
+
+@pytest.mark.parametrize("doc", [
+    {**GHZ3, "m": 2, "c": [1.0, 0.0, 0.0]},
+    {**GHZ3, "n_qubits": 4.7},
+    {**GHZ3, "n_qubits": True},
+    {**GHZ3, "n_qubits": "3"},
+    {**GHZ3, "n_qubits": float("inf")},
+    {**GHZ3, "n_qubits": None},
+    {**GHZ3, "basis": ["x"]},
+    {"kind": "dicke", "n_qubits": 4, "m": float("inf")},
+    {"kind": "product_bloch", "n_qubits": 4, "c": [1.0, 0.0]},
+    {"kind": "product_bloch", "n_qubits": 4, "c": [1.0, 0.0, float("nan")]},
+    {"kind": "product_bloch", "n_qubits": 4, "c": [10 ** 400, 0, 0]},
+    {"kind": "dicke_superposition", "n_qubits": 4, "alpha": [[1.0, 0.0], [0.0, 0.0]]},
+    {"kind": "even_parity", "n_qubits": 4, "coeffs": [[0.6, 0.0], [0.8, False]]},
+    {"kind": "white_noise_mix", "p": float("-inf"), "inner": GHZ3},
+    {"kind": "white_noise_mix", "p": 0.5, "inner": {**GHZ3, "n_qubits": 3.0}},
+    {"kind": "raw_matrix", "n_qubits": 1, "matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]]},
+], ids=["ghz-foreign-fields", "fractional-n", "bool-n", "string-n", "infinite-n", "null-n",
+        "list-basis", "infinite-m", "short-c", "nan-c", "huge-c", "short-alpha",
+        "bool-coeff", "infinite-p", "float-inner-n", "ragged-matrix"])
+def test_from_dict_enforces_field_types(doc):
+    with pytest.raises(SpecError):
+        states.StateSpec.from_dict(doc)
+
+
+def test_white_noise_spec_size_must_match_inner():
+    spec = states.StateSpec.from_dict({"kind": "white_noise_mix", "n_qubits": 5, "p": 0.5,
+                                       "inner": {"kind": "ghz", "n_qubits": 3}})
+    with pytest.raises(ValidationError, match="n_qubits=5"):
+        states.from_spec(spec)
+
+
+def test_huge_n_qubits_fails_the_cap_without_forming_the_dimension():
+    with pytest.raises(DimensionCapError):
+        states.ghz(10 ** 15)
+
+
+@pytest.mark.parametrize("kind", sorted(states.KNOWN_KINDS))
+def test_kind_fields_are_the_builder_parameters(kind):
+    params = inspect.signature(states.builder(kind)).parameters
+    assert set(states.KIND_FIELDS[kind]) == set(params) - {"cap"}
+
+
+def provenance_specs():
+    yield from landscape.landmark_specs(8).values()
+    yield from (pt.provenance for pt in landscape.sample_dicke_plane(4, 5, seed=3))
+    yield from (pt.provenance for pt in landscape.sample_product_polytope(4, 5, seed=3))
+    line = landscape.noise_line(states.dicke(4, 2, "x"), [0.0, 0.3, 1.0])
+    yield from (entry.measured.provenance for entry in line.entries)
+    yield from (state.spec for state in every_family_spec())
+
+
+GOLDEN_SPECS = sorted((Path(__file__).parent / "golden" / "specs").glob("*.json"))
+
+
+@pytest.mark.parametrize("path", GOLDEN_SPECS, ids=[p.stem for p in GOLDEN_SPECS])
+def test_golden_specs_round_trip(path):
+    doc = json.loads(path.read_text())
+    spec = states.StateSpec.from_dict(doc)
+    assert spec.to_dict() == doc
+    assert states.StateSpec.from_dict(spec.to_dict()) == spec
+
+
+def test_provenance_specs_round_trip():
+    specs = list(provenance_specs())
+    assert {s.kind for s in specs} == states.KNOWN_KINDS
+    for spec in specs:
+        assert states.StateSpec.from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
+
+
+def test_readme_spec_examples_parse_and_build():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("State spec files are JSON documents")[1]
+    block = block.split("```json\n")[1].split("```")[0]
+    docs = [json.loads(text) for text in re.split(r"\n(?=\{)", block.strip())]
+    assert {d["kind"] for d in docs} == states.KNOWN_KINDS
+    for doc in docs:
+        state = states.from_spec(states.StateSpec.from_dict(doc))
+        assert state.spec.to_dict() == doc
 
 
 def test_from_spec_missing_fields():
