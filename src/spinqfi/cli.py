@@ -130,6 +130,8 @@ def load_config(args) -> AnalysisConfig:
     if getattr(args, "seed", None) is not None:
         cfg = replace(cfg, seed=args.seed)
     if getattr(args, "max_qubits", None) is not None:
+        if args.max_qubits > 62:  # keeps the cap 2^n a machine integer
+            raise ValidationError(f"--max-qubits must be at most 62, got {args.max_qubits}")
         cfg = replace(cfg, dimension_cap=2 ** args.max_qubits)
     return cfg
 
@@ -196,6 +198,8 @@ def cmd_landscape(args) -> int:
     elif args.family == "noise_line":
         if args.spec:
             base = states.from_spec(load_spec_file(args.spec), cap=cfg.dimension_cap)
+            if base.n_qubits != n:
+                raise ValidationError(f"--n-qubits {n} differs from the spec's {base.n_qubits}")
         else:
             base = states.ghz(n, "z", cap=cfg.dimension_cap)
         grid = np.linspace(0.0, 1.0, max(2, args.count))
@@ -220,16 +224,13 @@ def _build_measurement(name: str, state, direction, seed: int) -> interferometer
     if name == "computational":
         return interferometer.Measurement.computational(state.n_qubits)
     if name == "collective":
-        from .collective import j_direction
-        return interferometer.Measurement.from_observable(
-            j_direction(direction, state.n_qubits))
+        return interferometer.Measurement.collective(direction, state.n_qubits)
     if name == "random":
         rng = np.random.default_rng(seed)
         dim = state.dim
         g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         basis, _ = np.linalg.qr(g)
-        return interferometer.Measurement(
-            [np.outer(basis[:, i], basis[:, i].conj()) for i in range(dim)])
+        return interferometer.Measurement(np.arange(dim), basis)
     raise ValidationError(f"unknown measurement {name!r}")
 
 

@@ -1,24 +1,24 @@
 """Phase evolution, classical Fisher information and the Cramer-Rao check.
 
-The phase map is rho -> exp(-i theta J_n) rho exp(+i theta J_n). Classical
-Fisher information for a projective measurement is computed by central finite
-differences of the outcome probabilities; outcomes whose probability falls
-below a floor are excluded (their derivative contribution is dropped and the
-count is reported in the diagnostics).
+The phase map rho -> exp(-i theta J_n) rho exp(+i theta J_n) rotates each
+qubit and a measurement is a basis change plus outcome labels, so no 2^N x 2^N
+projector is formed. Classical Fisher information comes from central finite
+differences of the outcome probabilities; outcomes below a probability floor
+are excluded (their derivative contribution is dropped and counted).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Sequence
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .collective import check_direction, j_direction, pauli_at
+from .collective import IDENTITY_2, check_axis, check_direction, j_direction
 from .errors import ValidationError
-from .matcore import eigh, herm_exp, kron_all
+from .matcore import eigh, herm_exp
 from .qfi import qfi_direction
-from .states import QuantumState, _pure_state
+from .states import BASIS_ROTATION, QuantumState, _pure_state, apply_local_unitary
 
 FD_STEP = 1e-4
 P_FLOOR = 1e-12
@@ -35,70 +35,94 @@ class PhaseSetting:
         object.__setattr__(self, "direction", tuple(check_direction(self.direction)))
 
 
-class Measurement:
-    """Complete projective measurement: projectors summing to the identity."""
+@dataclass(frozen=True)
+class _Projectors(Sequence):
+    """Dense outcome projectors of a Measurement, each built when indexed."""
 
-    def __init__(self, projectors: Sequence[np.ndarray]):
-        projs = [np.asarray(p, dtype=complex) for p in projectors]
-        if not projs:
-            raise ValidationError("measurement needs at least one projector")
-        dim = projs[0].shape[0]
-        total = np.zeros((dim, dim), dtype=complex)
-        for p in projs:
-            if p.shape != (dim, dim):
-                raise ValidationError("projectors must share one square shape")
-            if np.max(np.abs(p @ p - p)) > 1e-9:
-                raise ValidationError("projector fails P @ P == P within 1e-9")
-            total += p
-        if np.max(np.abs(total - np.eye(dim))) > 1e-9:
-            raise ValidationError("projectors do not sum to the identity within 1e-9")
-        self.projectors = projs
-        self.dim = dim
+    meas: "Measurement"
+
+    def __len__(self) -> int:
+        return len(self.meas.outcomes)
+
+    def __getitem__(self, k: int) -> np.ndarray:
+        m = self.meas
+        basis = _apply(m.basis, np.eye(m.dim, dtype=complex))
+        cols = basis[:, m._outcome_of == range(len(self))[k]]
+        return cols @ cols.conj().T
+
+
+class Measurement:
+    """Complete projective measurement: a basis change B (one 2x2 unitary on
+    every qubit, or a dense 2^N x 2^N unitary) and a label for each column of
+    B. Outcome k, the k-th distinct label, projects onto the span of its columns."""
+
+    def __init__(self, labels, basis=IDENTITY_2):
+        labels = np.asarray(labels).reshape(-1)
+        self.dim = len(labels)
+        if self.dim < 2 or self.dim & (self.dim - 1):
+            raise ValidationError(f"a measurement needs 2^N labels, N >= 1, got {self.dim}")
+        b = self.basis = np.asarray(basis, dtype=complex)
+        if not (b.shape in ((2, 2), (self.dim, self.dim))
+                and np.max(np.abs(b.conj().T @ b - np.eye(len(b)))) <= 1e-9):
+            raise ValidationError(f"basis change must be a unitary of size 2 or {self.dim}")
+        self.outcomes, self._outcome_of = np.unique(labels, return_inverse=True)
 
     @classmethod
     def from_observable(cls, a, tol: float = 1e-8) -> "Measurement":
-        """Projectors onto eigenspaces of a Hermitian observable.
-
-        Eigenvalues within tol of each other share one projector.
-        """
+        """Eigenspaces of a Hermitian observable, ascending; a run of eigenvalues
+        within tol of its lowest one is one outcome."""
         dec = eigh(a)
-        projs: List[np.ndarray] = []
-        start = 0
-        for i in range(1, len(dec.values) + 1):
-            if i == len(dec.values) or dec.values[i] - dec.values[start] > tol:
-                block = dec.vectors[:, start:i]
-                projs.append(block @ block.conj().T)
-                start = i
-        return cls(projs)
+        labels = [0]
+        for i, value in enumerate(dec.values[1:], 1):
+            labels.append(labels[-1] if value - dec.values[labels[-1]] <= tol else i)
+        return cls(labels, dec.vectors)
 
     @classmethod
     def parity(cls, axis: str, n_qubits: int) -> "Measurement":
-        """Two projectors, onto the +1 and -1 eigenspaces of sigma_axis^(x N)."""
-        word = kron_all([pauli_at(axis, 1, 1) for _ in range(n_qubits)])
-        return cls.from_observable(word)
+        """The -1 and +1 eigenspaces of sigma_axis^(x N): in the sigma_axis
+        eigenbasis of every qubit, index i has eigenvalue (-1)^popcount(i)."""
+        check_axis(axis)
+        odd = np.bitwise_count(np.arange(2 ** n_qubits)) % 2
+        return cls(np.where(odd, -1, 1), BASIS_ROTATION.get(axis, IDENTITY_2))
+
+    @classmethod
+    def collective(cls, direction, n_qubits: int) -> "Measurement":
+        """The eigenspaces of J_n in ascending order: popcount in the eigenbasis
+        of n.sigma/2 (eigenvalues ascending) of every qubit."""
+        return cls(np.bitwise_count(np.arange(2 ** n_qubits)),
+                   eigh(j_direction(direction, 1)).vectors)
 
     @classmethod
     def computational(cls, n_qubits: int) -> "Measurement":
-        dim = 2 ** n_qubits
-        eye = np.eye(dim, dtype=complex)
-        return cls([np.outer(eye[:, i], eye[:, i].conj()) for i in range(dim)])
+        return cls(np.arange(2 ** n_qubits))
+
+    def probabilities(self, state: QuantumState) -> np.ndarray:
+        """Tr(P_k rho) per outcome: populations in the basis B, binned by label."""
+        out = _rotate(state, self.basis.conj().T)
+        weights = np.abs(out) ** 2 if state.is_pure else np.diagonal(out).real
+        return np.bincount(self._outcome_of, weights=weights, minlength=len(self.outcomes))
+
+    projectors = property(_Projectors)
+
+
+def _apply(u: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """U a for a vector or matrix a; U is u on every qubit if u is 2x2, else u."""
+    return apply_local_unitary(a, u, len(a).bit_length() - 1) if u.shape == (2, 2) else u @ a
+
+
+def _rotate(state: QuantumState, u: np.ndarray) -> np.ndarray:
+    """U psi for a pure state, else U rho U^dagger, for U as in _apply."""
+    if state.is_pure:
+        return _apply(u, state.vector)
+    return _apply(u, _apply(u, state.rho).conj().T)
 
 
 def evolve(state: QuantumState, setting: PhaseSetting) -> QuantumState:
-    """Conjugate by exp(-i theta J_n); spectrum-preserving."""
-    jn = j_direction(setting.direction, state.n_qubits)
-    u = herm_exp(jn, -setting.theta)
+    """Conjugate by exp(-i theta J_n) = exp(-i theta n.sigma/2)^(x N); spectrum-preserving."""
+    out = _rotate(state, herm_exp(j_direction(setting.direction, 1), -setting.theta))
     if state.is_pure:
-        return _pure_state(u @ state.vector, state.n_qubits)
-    rho = u @ state.rho @ u.conj().T
-    return QuantumState((rho + rho.conj().T) / 2.0, state.n_qubits)
-
-
-def _probabilities(state: QuantumState, setting: PhaseSetting, meas: Measurement,
-                   theta: float) -> np.ndarray:
-    shifted = PhaseSetting(theta, setting.direction)
-    out = evolve(state, shifted)
-    return np.array([float(np.trace(p @ out.rho).real) for p in meas.projectors])
+        return _pure_state(out, state.n_qubits)
+    return QuantumState((out + out.conj().T) / 2.0, state.n_qubits)
 
 
 def classical_fisher_report(state: QuantumState, setting: PhaseSetting,
@@ -107,10 +131,8 @@ def classical_fisher_report(state: QuantumState, setting: PhaseSetting,
     """Classical Fisher information with finite-difference diagnostics."""
     if meas.dim != state.dim:
         raise ValidationError("measurement dimension does not match the state")
-    theta = setting.theta
-    p_mid = _probabilities(state, setting, meas, theta)
-    p_lo = _probabilities(state, setting, meas, theta - h)
-    p_hi = _probabilities(state, setting, meas, theta + h)
+    shifted = (replace(setting, theta=setting.theta + dt) for dt in (0.0, -h, h))
+    p_mid, p_lo, p_hi = (meas.probabilities(evolve(state, s)) for s in shifted)
     dp = (p_hi - p_lo) / (2.0 * h)
     keep = p_mid >= p_floor
     value = float(np.sum(dp[keep] ** 2 / p_mid[keep]))

@@ -10,14 +10,13 @@ biseparable extremal candidates) and "ghz_l", each for l in {x, y, z}.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import least_squares
+from scipy.optimize import least_squares, nnls
 
 from . import states
 from .collective import collective_j
@@ -161,29 +160,20 @@ def named_polytope(name: str, n_qubits: int) -> Polytope:
 
 
 def polytope_contains(poly: Polytope, q, tol: float = MEMBERSHIP_TOL) -> bool:
-    """Convex-combination membership by enumerating <= 4-vertex subsets.
-
-    Each subset gives a small least-squares system for barycentric weights;
-    membership means nonnegative weights reconstructing q within tol.
-    Boundary points count as inside. Rank-deficient subsets are handled by
-    the least-squares solve.
-    """
+    """Convex-combination membership, boundary included: the nonnegative
+    least-squares w of [V; 1] w = [q; 1] reproduces [q; 1] within tol."""
     if isinstance(q, FisherPoint):
         q = q.p
     q = np.asarray(q, dtype=float).reshape(3)
     verts = np.array([v.p for v in poly.vertices])
     if len(verts) > 8:
         raise ValidationError("membership test supports at most 8 vertices")
+    if not np.all(np.isfinite(q)):
+        return False
+    block = np.vstack([verts.T, np.ones(len(verts))])
     target = np.concatenate([q, [1.0]])
-    for size in range(1, min(4, len(verts)) + 1):
-        for subset in itertools.combinations(range(len(verts)), size):
-            block = np.vstack([verts[list(subset)].T, np.ones(size)])
-            w, *_ = np.linalg.lstsq(block, target, rcond=None)
-            if np.any(w < -1e-9):
-                continue
-            if np.max(np.abs(block @ w - target)) <= tol:
-                return True
-    return False
+    w, _ = nnls(block, target)
+    return bool(np.max(np.abs(block @ w - target)) <= tol)
 
 
 def product_state_for_point(q, n_qubits: int, tol: float = MEMBERSHIP_TOL) -> QuantumState:

@@ -34,21 +34,6 @@ def check_dim(dim: int, cap: int = DIM_CAP) -> None:
         raise DimensionCapError(f"dimension {dim} exceeds cap {cap}")
 
 
-def kron(a, b, cap: int = DIM_CAP) -> np.ndarray:
-    """Tensor product with a's indices major (site 1 = most significant)."""
-    a = _as_square(a)
-    b = _as_square(b)
-    check_dim(a.shape[0] * b.shape[0], cap)
-    return np.kron(a, b)
-
-
-def kron_all(mats, cap: int = DIM_CAP) -> np.ndarray:
-    out = np.eye(1, dtype=complex)
-    for m in mats:
-        out = kron(out, m, cap)
-    return out
-
-
 def hermiticity_residue(a: np.ndarray) -> float:
     return float(np.max(np.abs(a - a.conj().T)))
 

@@ -269,11 +269,12 @@ def _pure_state(psi: np.ndarray, n_qubits: int, spec=None) -> QuantumState:
 
 
 def apply_local_unitary(psi: np.ndarray, u: np.ndarray, n_qubits: int) -> np.ndarray:
-    """Apply the same 2x2 unitary to every qubit of a state vector."""
-    t = psi.reshape((2,) * n_qubits)
+    """Apply the same 2x2 unitary to every qubit of a state vector, or of each
+    column of a 2^N x k matrix."""
+    t = psi.reshape((2,) * n_qubits + psi.shape[1:])
     for axis in range(n_qubits):
         t = np.moveaxis(np.tensordot(u, t, axes=([1], [axis])), 0, axis)
-    return t.reshape(-1)
+    return t.reshape(psi.shape)
 
 
 def _rotate_vector(psi: np.ndarray, basis: str, n_qubits: int) -> np.ndarray:

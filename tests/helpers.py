@@ -141,6 +141,32 @@ def random_direction(rng) -> np.ndarray:
 
 
 def random_projective_measurement(dim: int, rng):
+    """A random orthonormal basis; each column is one rank-1 outcome."""
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, _ = np.linalg.qr(g)
-    return [np.outer(q[:, i], q[:, i].conj()) for i in range(dim)]
+    return q
+
+
+# ---------------------------------------------------------------- projectors
+
+def parity_projectors(axis: str, n: int):
+    """[P_-1, P_+1] of sigma_axis^(x n), from the Kronecker chain."""
+    word = kron_chain([PAULI[axis]] * n)
+    eye = np.eye(2 ** n)
+    return [(eye - word) / 2, (eye + word) / 2]
+
+
+def collective_projectors(direction, n: int):
+    """Eigenprojectors of J_n in ascending order of eigenvalue."""
+    gen = sum(d * collective_op(axis, n) for d, axis in zip(direction, "xyz"))
+    vals, vecs = np.linalg.eigh(gen)
+    levels = np.round(2 * vals).astype(int)  # eigenvalues are m - n/2
+    out = []
+    for level in np.unique(levels):
+        cols = vecs[:, levels == level]
+        out.append(cols @ cols.conj().T)
+    return out
+
+
+def computational_projectors(n: int):
+    return [np.diag(row).astype(complex) for row in np.eye(2 ** n)]

@@ -163,7 +163,7 @@ def test_criterion_08_cramer_rao_ordering():
                 direction = helpers.random_direction(rng)
                 theta = rng.uniform(0.05, 0.5)
                 meas = interferometer.Measurement(
-                    helpers.random_projective_measurement(state.dim, rng))
+                    np.arange(state.dim), helpers.random_projective_measurement(state.dim, rng))
                 setting = interferometer.PhaseSetting(theta, tuple(direction))
                 fcl = interferometer.classical_fisher(state, setting, meas)
                 fq = qfi.qfi_direction(state, direction)

@@ -191,6 +191,16 @@ def test_exit_code_dimension_cap(tmp_path, capsys):
     assert err["error"]["type"] == "DimensionCapError"
 
 
+def test_max_qubits_above_the_ceiling_is_rejected(tmp_path, capsys):
+    path = write_spec(tmp_path, "ghz4.json", GHZ4)
+    for flag in ("63", "1000000000000000"):
+        assert main(["analyze", path, "--max-qubits", flag]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"]["type"] == "ValidationError"
+    assert main(["analyze", path, "--max-qubits", "62"]) == 0
+
+
 @pytest.mark.parametrize("text, code", [
     (b'{"kind": "ghz", "n_qubits": 3, "m": 2, "c": [1, 0, 0]}', 2),
     (b'{"kind": "ghz", "n_qubits": 4.7}', 2),
@@ -302,6 +312,15 @@ def test_noise_line_custom_spec(tmp_path, capsys):
     assert fx[-1] == pytest.approx(12.0, abs=1e-9)
 
 
+def test_noise_line_spec_must_match_n_qubits(tmp_path, capsys):
+    path = write_spec(tmp_path, "ghz4.json", GHZ4)
+    assert main(["landscape", "noise_line", "--n-qubits", "99",
+                 "--count", "3", "--spec", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"]["type"] == "ValidationError"
+
+
 # ------------------------------------------------------------ crb
 
 def test_crb_ghz_parity(tmp_path, capsys):
@@ -336,6 +355,16 @@ def test_crb_random_measurement_respects_ordering(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["ordering_ok"] is True
     assert doc["fisher_classical"] <= doc["fisher_quantum"] + 1e-6
+
+
+def test_crb_computational_at_ten_qubits(tmp_path, capsys):
+    path = write_spec(tmp_path, "dicke10.json",
+                      {"kind": "dicke", "n_qubits": 10, "m": 5, "basis": "z"})
+    assert main(["crb", path, "--direction", "x", "--measurement", "computational"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["status"] == "ok" and doc["ordering_ok"] is True
+    assert doc["fisher_quantum"] == pytest.approx(60.0, abs=1e-9)
+    assert 0.0 < doc["fisher_classical"] <= doc["fisher_quantum"] + 1e-6
 
 
 def test_crb_rejects_bad_direction(tmp_path, capsys):

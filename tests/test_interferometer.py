@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -23,16 +24,19 @@ def test_phase_setting_normalizes_direction():
 
 def test_measurement_validates_projectors():
     with pytest.raises(ValidationError):
-        itf.Measurement([np.array([[0.5, 0.0], [0.0, 0.5]])])  # not idempotent
+        itf.Measurement([0, 1], np.array([[1.0, 0.0], [0.0, 0.5]]))  # not unitary
     with pytest.raises(ValidationError):
-        itf.Measurement([np.diag([1.0, 0.0]).astype(complex)])  # incomplete
+        itf.Measurement([0, 1, 2])  # not 2^N labels
+    with pytest.raises(ValidationError):
+        itf.Measurement([0])  # N = 0
     with pytest.raises(ValidationError):
         itf.Measurement([])
+    with pytest.raises(ValidationError):
+        itf.Measurement([0, 1, 2, 3], np.eye(3))  # basis of the wrong size
 
 
 def test_measurement_accepts_complete_projective_set():
-    eye = np.eye(4, dtype=complex)
-    m = itf.Measurement([np.outer(eye[:, i], eye[:, i]) for i in range(4)])
+    m = itf.Measurement(np.arange(4), np.eye(4, dtype=complex))
     assert m.dim == 4 and len(m.projectors) == 4
 
 
@@ -58,6 +62,23 @@ def test_computational_measurement():
     np.testing.assert_allclose(total, np.eye(4), atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_probabilities_match_reference_projectors(n):
+    rng = np.random.default_rng(700 + n)
+    d = helpers.random_direction(rng)
+    cases = [(itf.Measurement.parity(axis, n), helpers.parity_projectors(axis, n))
+             for axis in "xyz"]
+    cases += [(itf.Measurement.collective(d, n), helpers.collective_projectors(d, n)),
+              (itf.Measurement.computational(n), helpers.computational_projectors(n))]
+    ket = helpers.haar_ket(2 ** n, rng)
+    for st, rho in ((states._pure_state(ket, n), np.outer(ket, ket.conj())),
+                    (states.from_matrix(helpers.ginibre_mixed(n, rng), n), None)):
+        rho = st.rho if rho is None else rho
+        for meas, projs in cases:
+            want = [np.trace(p @ rho).real for p in projs]
+            np.testing.assert_allclose(meas.probabilities(st), want, rtol=0, atol=1e-12)
+
+
 # ------------------------------------------------------------ evolution
 
 def test_evolve_pure_state_stays_pure():
@@ -69,16 +90,22 @@ def test_evolve_pure_state_stays_pure():
 
 def test_evolve_matches_direct_conjugation():
     rng = np.random.default_rng(17)
-    rho = helpers.ginibre_mixed(2, rng)
-    st = states.from_matrix(rho, 2)
-    d = helpers.random_direction(rng)
-    theta = 0.3
-    out = itf.evolve(st, itf.PhaseSetting(theta, tuple(d)))
-    gen = helpers.collective_op("x", 2) * d[0] + helpers.collective_op("y", 2) * d[1] \
-        + helpers.collective_op("z", 2) * d[2]
-    vals, vecs = np.linalg.eigh(gen)
-    u = (vecs * np.exp(-1j * theta * vals)) @ vecs.conj().T
-    np.testing.assert_allclose(out.rho, u @ rho @ u.conj().T, atol=1e-12)
+    for n, pure in itertools.product((2, 3, 4), (False, True)):
+        if pure:
+            ket = helpers.haar_ket(2 ** n, rng)
+            rho, st = np.outer(ket, ket.conj()), states._pure_state(ket, n)
+        else:
+            rho = helpers.ginibre_mixed(n, rng)
+            st = states.from_matrix(rho, n)
+        d = helpers.random_direction(rng)
+        theta = 0.3
+        out = itf.evolve(st, itf.PhaseSetting(theta, tuple(d)))
+        assert out.is_pure == pure
+        gen = helpers.collective_op("x", n) * d[0] + helpers.collective_op("y", n) * d[1] \
+            + helpers.collective_op("z", n) * d[2]
+        vals, vecs = np.linalg.eigh(gen)
+        u = (vecs * np.exp(-1j * theta * vals)) @ vecs.conj().T
+        np.testing.assert_allclose(out.rho, u @ rho @ u.conj().T, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -93,7 +120,7 @@ def test_qfi_invariant_under_evolution_about_same_axis(n):
 
 # ------------------------------------------------------------ classical Fisher
 
-@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("n", [3, 4, 5, 10])
 def test_ghz_parity_attains_quantum_limit(n):
     st = states.ghz(n, "z")
     setting = itf.PhaseSetting(math.pi / (2 * n), (0.0, 0.0, 1.0))
@@ -136,7 +163,8 @@ def test_classical_never_beats_quantum(n):
             st = states.from_matrix(helpers.ginibre_mixed(n, rng), n)
         d = helpers.random_direction(rng)
         theta = rng.uniform(0.05, 0.5)
-        meas = itf.Measurement(helpers.random_projective_measurement(2 ** n, rng))
+        meas = itf.Measurement(np.arange(2 ** n),
+                               helpers.random_projective_measurement(2 ** n, rng))
         fcl = itf.classical_fisher(st, itf.PhaseSetting(theta, tuple(d)), meas)
         fq = qfi.qfi_direction(st, d)
         assert fcl <= fq + 1e-6

@@ -87,6 +87,8 @@ def test_membership_rejects_outside_points():
     poly = landscape.named_polytope("product", 4)
     assert not landscape.polytope_contains(poly, np.array([4.0, 4.0, 4.0]))
     assert not landscape.polytope_contains(poly, np.array([9.0, 0.0, 0.0]))
+    assert not landscape.polytope_contains(poly, np.array([np.nan, 0.0, 0.0]))
+    assert not landscape.polytope_contains(poly, np.array([np.inf, 0.0, 0.0]))
 
 
 def test_membership_tolerance_window():

@@ -4,27 +4,7 @@ import pytest
 from spinqfi import matcore
 from spinqfi.errors import DimensionCapError, NumericalError, ValidationError
 
-from helpers import SX, SZ
-
-
-def test_kron_matches_numpy():
-    a = np.arange(4, dtype=complex).reshape(2, 2)
-    b = np.array([[0, 1j], [-1j, 0]])
-    np.testing.assert_allclose(matcore.kron(a, b), np.kron(a, b))
-
-
-def test_kron_all_chains_left_to_right():
-    mats = [SX, SZ, np.eye(2)]
-    expected = np.kron(np.kron(SX, SZ), np.eye(2))
-    np.testing.assert_allclose(matcore.kron_all(mats), expected)
-
-
-def test_kron_respects_dimension_cap():
-    with pytest.raises(DimensionCapError):
-        matcore.kron_all([np.eye(2)] * 13)
-    # exactly at the cap is fine
-    out = matcore.kron_all([np.eye(2)] * 12)
-    assert out.shape == (4096, 4096)
+from helpers import SZ
 
 
 def test_eigh_ascending_and_reconstructs():
@@ -88,5 +68,3 @@ def test_check_dim_enforces_cap():
 def test_non_square_input_rejected():
     with pytest.raises(ValidationError):
         matcore.eigh(np.zeros((2, 3)))
-    with pytest.raises(ValidationError):
-        matcore.kron(np.eye(2), np.zeros((2, 3)))

@@ -373,3 +373,6 @@ def test_apply_local_unitary_matches_kron():
     u, _ = np.linalg.qr(g)
     np.testing.assert_allclose(states.apply_local_unitary(v, u, 3),
                                helpers.kron_chain([u] * 3) @ v, atol=1e-12)
+    cols = rng.normal(size=(8, 5)) + 1j * rng.normal(size=(8, 5))
+    np.testing.assert_allclose(states.apply_local_unitary(cols, u, 3),
+                               helpers.kron_chain([u] * 3) @ cols, atol=1e-12)
