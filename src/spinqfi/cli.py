@@ -19,6 +19,7 @@ import numpy as np
 
 from . import __version__, criteria, interferometer, landscape, qfi, states
 from .errors import SpecError, SpinQfiError, ValidationError
+from .matcore import check_qubits
 from .states import StateSpec
 
 
@@ -38,8 +39,8 @@ class AnalysisConfig:
                 raise ValidationError(f"config field {field.name} must be of type "
                                       f"{field.type}, got {value!r}")
         for name in ("tol_violation", "eps_rank", "fd_step"):
-            if getattr(self, name) <= 0:
-                raise ValidationError(f"config field {name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:  # False for NaN too
+                raise ValidationError(f"config field {name} must be positive and finite")
         cap = self.dimension_cap
         if cap < 2 or cap & (cap - 1) != 0:
             raise ValidationError("dimension_cap must be a power of 2, at least 2")
@@ -184,7 +185,7 @@ def cmd_landscape(args) -> int:
     cfg = load_config(args)
     n = args.n_qubits
     if args.family in ("dicke_plane", "product_fill"):
-        states.check_qubits(n, cfg.dimension_cap)
+        check_qubits(n, cfg.dimension_cap)
     rows = []
     if args.family == "landmarks":
         for name, point in landscape.landmark_points(n).items():

@@ -16,7 +16,6 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import least_squares, nnls
 
 from . import states
 from .collective import collective_j
@@ -170,6 +169,8 @@ def polytope_contains(poly: Polytope, q, tol: float = MEMBERSHIP_TOL) -> bool:
         raise ValidationError("membership test supports at most 8 vertices")
     if not np.all(np.isfinite(q)):
         return False
+    from scipy.optimize import nnls  # deferred: scipy.optimize dominates import time
+
     block = np.vstack([verts.T, np.ones(len(verts))])
     target = np.concatenate([q, [1.0]])
     w, _ = nnls(block, target)
@@ -385,6 +386,8 @@ def alpha_for_point(q, n_qubits: int, seed: int = 0, max_starts: int = 60) -> np
             return np.array([1e6, 1e6, 1e6, 1e6])
         a = a / math.sqrt(nrm2)
         return np.concatenate([closed_form_triple(a, n) - q, [nrm2 - 1.0]])
+
+    from scipy.optimize import least_squares  # deferred, as in polytope_contains
 
     rng = np.random.default_rng(seed)
     starts = [np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0]) / math.sqrt(3)]

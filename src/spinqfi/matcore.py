@@ -3,7 +3,10 @@
 Everything downstream (collective operators, states, QFI) works with plain
 numpy complex128 arrays; this module owns the numerical conventions:
 
-* Hilbert-space dimension is capped (default 2**12) at construction time.
+* Hilbert-space dimension is capped at construction time by check_dim /
+  check_qubits, the only size guard: a caller's cap may lower the limit but
+  never raise it above DIM_CAP = 2**12, the largest register the dense
+  collective operators serve.
 * Hermitian inputs are accepted up to an absolute elementwise tolerance of
   1e-10 and symmetrized before any decomposition.
 * Eigenvalues are returned ascending, ties left in decomposition order.
@@ -30,8 +33,20 @@ def _as_square(a) -> np.ndarray:
 
 
 def check_dim(dim: int, cap: int = DIM_CAP) -> None:
+    cap = min(cap, DIM_CAP)
     if dim > cap:
         raise DimensionCapError(f"dimension {dim} exceeds cap {cap}")
+
+
+def check_qubits(n_qubits: int, cap: int = DIM_CAP) -> None:
+    """n_qubits >= 1 and 2^n_qubits within check_dim's limit; a huge n fails
+    without forming 2^n."""
+    if n_qubits < 1:
+        raise ValidationError("n_qubits must be positive")
+    cap = min(cap, DIM_CAP)
+    if n_qubits > cap.bit_length():
+        raise DimensionCapError(f"dimension 2^{n_qubits} exceeds cap {cap}")
+    check_dim(2 ** n_qubits, cap)
 
 
 def hermiticity_residue(a: np.ndarray) -> float:

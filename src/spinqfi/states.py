@@ -17,8 +17,9 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionCapError, SpecError, ValidationError
-from .matcore import (DIM_CAP, SpectralDecomposition, check_dim, eigh,
+from .collective import check_direction, j_direction
+from .errors import SpecError, ValidationError
+from .matcore import (DIM_CAP, SpectralDecomposition, check_dim, check_qubits, eigh,
                       hermiticity_residue, require_hermitian)
 
 # Per-qubit unitaries taking sigma_z eigenvectors to sigma_x / sigma_y ones.
@@ -289,22 +290,11 @@ def _rotate_vector(psi: np.ndarray, basis: str, n_qubits: int) -> np.ndarray:
 def _dicke_vector(n_qubits: int, m: int, basis: str) -> np.ndarray:
     dim = 2 ** n_qubits
     v = np.zeros(dim, dtype=complex)
-    for idx in range(dim):
-        if idx.bit_count() == m:
-            v[idx] = 1.0
+    v[np.bitwise_count(np.arange(dim)) == m] = 1.0
     v /= math.sqrt(math.comb(n_qubits, m))
     v = _rotate_vector(v, basis, n_qubits)
     v.setflags(write=False)
     return v
-
-
-def check_qubits(n_qubits: int, cap: int = DIM_CAP) -> None:
-    """n_qubits >= 1 and 2^n_qubits <= cap; a huge n fails without forming 2^n."""
-    if n_qubits < 1:
-        raise ValidationError("n_qubits must be positive")
-    if n_qubits > cap.bit_length():
-        raise DimensionCapError(f"dimension 2^{n_qubits} exceeds cap {cap}")
-    check_dim(2 ** n_qubits, cap)
 
 
 def ghz(n_qubits: int, basis: str = "z", cap: int = DIM_CAP) -> QuantumState:
@@ -330,17 +320,14 @@ def dicke(n_qubits: int, m: int, basis: str = "z", cap: int = DIM_CAP) -> Quantu
 def product_bloch(c, n_qubits: int, cap: int = DIM_CAP) -> QuantumState:
     """Half the qubits polarized along +c, half along -c (N even).
 
-    c is a real Bloch vector with sum of squares 1.
+    c is a real unit Bloch vector; each qubit's state is an eigenvector of
+    the 2x2 c.sigma = 2 J_c for one qubit.
     """
     check_qubits(n_qubits, cap)
     if n_qubits % 2 != 0:
         raise ValidationError("product_bloch requires an even number of qubits")
-    c = np.asarray(c, dtype=float).reshape(3)
-    if abs(float(c @ c) - 1.0) > 1e-10:
-        raise ValidationError("Bloch coefficients must satisfy sum(c**2) == 1")
-    b = np.array([[c[2], c[0] - 1j * c[1]], [c[0] + 1j * c[1], -c[2]]])
-    dec = eigh(b)
-    minus, plus = dec.vectors[:, 0], dec.vectors[:, 1]
+    c = check_direction(c)
+    minus, plus = eigh(2 * j_direction(c, 1)).vectors.T
     v = np.ones(1, dtype=complex)
     for _ in range(n_qubits // 2):
         v = np.kron(v, plus)

@@ -1,13 +1,18 @@
 import argparse
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spinqfi
 from spinqfi import cli, states
 from spinqfi.cli import AnalysisConfig, dumps, main
-from spinqfi.errors import NumericalError, SpecError, ValidationError
+from spinqfi.errors import DimensionCapError, NumericalError, SpecError, ValidationError
 
 
 def write_spec(tmp_path, name, doc):
@@ -108,6 +113,39 @@ def test_config_wrong_type_is_validation_error(tmp_path, capsys, doc):
     assert next(iter(doc)) in err["message"]
 
 
+NOISY_GHZ4 = {"kind": "white_noise_mix", "p": 0.9, "inner": GHZ4}
+
+
+@pytest.mark.parametrize("config, flags, field", [
+    ('{"eps_rank": NaN}', [], "eps_rank"),
+    ('{"fd_step": Infinity}', [], "fd_step"),
+    (None, ["--tol", "nan"], "tol_violation"),
+    (None, ["--tol", "inf"], "tol_violation"),
+], ids=["nan-eps-rank", "infinite-fd-step", "tol-nan", "tol-inf"])
+def test_non_finite_config_is_rejected_before_analysis(tmp_path, capsys, config, flags, field):
+    spec = write_spec(tmp_path, "noisy.json", NOISY_GHZ4)
+    if config is not None:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(config)
+        flags = ["--config", str(cfg_path)]
+    assert main(["depth", spec, *flags]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)["error"]
+    assert err["type"] == "ValidationError"
+    assert field in err["message"]
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    src = str(Path(spinqfi.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, spinqfi.cli; print('scipy.optimize' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
+
+
 # ------------------------------------------------------------ analyze
 
 def test_analyze_document_shape(tmp_path, capsys):
@@ -189,6 +227,18 @@ def test_exit_code_dimension_cap(tmp_path, capsys):
     assert main(["analyze", path, "--max-qubits", "3"]) == 5
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "DimensionCapError"
+
+
+def test_max_qubits_beyond_the_dense_ceiling_fails_before_building(tmp_path, capsys):
+    # --max-qubits 13 is accepted, but no route serves 2^13: the guard in the
+    # state constructor refuses it before any vector or operator is formed
+    path = write_spec(tmp_path, "ghz13.json", {"kind": "ghz", "n_qubits": 13, "basis": "z"})
+    assert main(["depth", path, "--max-qubits", "13"]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"]["type"] == "DimensionCapError"
+    with pytest.raises(DimensionCapError):
+        states.ghz(13, "z", cap=2 ** 13)
 
 
 def test_max_qubits_above_the_ceiling_is_rejected(tmp_path, capsys):

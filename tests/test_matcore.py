@@ -63,6 +63,10 @@ def test_check_dim_enforces_cap():
         matcore.check_dim(2 ** 13)
     with pytest.raises(DimensionCapError):
         matcore.check_dim(9, cap=8)
+    with pytest.raises(DimensionCapError):  # a larger cap never lifts the ceiling
+        matcore.check_dim(2 ** 13, cap=2 ** 20)
+    with pytest.raises(DimensionCapError):
+        matcore.check_qubits(13, cap=2 ** 62)
 
 
 def test_non_square_input_rejected():
