@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__, criteria, interferometer, landscape, qfi, states
 from .errors import SpecError, SpinQfiError, ValidationError
-from .matcore import check_qubits
+from .matcore import DIM_CAP, check_qubits
 from .states import StateSpec
 
 
@@ -29,7 +29,7 @@ class AnalysisConfig:
     eps_rank: float = qfi.EPS_RANK
     fd_step: float = interferometer.FD_STEP
     seed: int = 0
-    dimension_cap: int = 4096
+    dimension_cap: int = DIM_CAP  # above DIM_CAP, held (and echoed) as DIM_CAP
 
     def __post_init__(self):
         for field in fields(self):
@@ -44,6 +44,7 @@ class AnalysisConfig:
         cap = self.dimension_cap
         if cap < 2 or cap & (cap - 1) != 0:
             raise ValidationError("dimension_cap must be a power of 2, at least 2")
+        object.__setattr__(self, "dimension_cap", min(cap, DIM_CAP))
         if self.seed < 0:
             raise ValidationError("seed must be a nonnegative integer")
 

@@ -2,9 +2,13 @@
 
 The phase map rho -> exp(-i theta J_n) rho exp(+i theta J_n) rotates each
 qubit and a measurement is a basis change plus outcome labels, so no 2^N x 2^N
-projector is formed. Classical Fisher information comes from central finite
-differences of the outcome probabilities; outcomes below a probability floor
-are excluded (their derivative contribution is dropped and counted).
+projector is formed. A pure state is rotated as a vector. A white-noise mix
+p rho + (1 - p) 1/d goes through its inner state, since the identity is
+invariant under the rotation and its populations are 1/d in every basis, so
+it costs what its inner state costs and no dense rho is built for either.
+Classical Fisher information comes from central finite differences of the
+outcome probabilities; outcomes below a probability floor are excluded
+(their derivative contribution is dropped and counted).
 """
 from __future__ import annotations
 
@@ -98,6 +102,10 @@ class Measurement:
 
     def probabilities(self, state: QuantumState) -> np.ndarray:
         """Tr(P_k rho) per outcome: populations in the basis B, binned by label."""
+        if state.noise is not None:
+            inner, p = state.noise
+            return (p * self.probabilities(inner)
+                    + (1.0 - p) * np.bincount(self._outcome_of) / self.dim)
         out = _rotate(state, self.basis.conj().T)
         weights = np.abs(out) ** 2 if state.is_pure else np.diagonal(out).real
         return np.bincount(self._outcome_of, weights=weights, minlength=len(self.outcomes))
@@ -119,7 +127,15 @@ def _rotate(state: QuantumState, u: np.ndarray) -> np.ndarray:
 
 def evolve(state: QuantumState, setting: PhaseSetting) -> QuantumState:
     """Conjugate by exp(-i theta J_n) = exp(-i theta n.sigma/2)^(x N); spectrum-preserving."""
-    out = _rotate(state, herm_exp(j_direction(setting.direction, 1), -setting.theta))
+    return _conjugate(state, herm_exp(j_direction(setting.direction, 1), -setting.theta))
+
+
+def _conjugate(state: QuantumState, u: np.ndarray) -> QuantumState:
+    """U rho U^dagger for U = u on every qubit; a white-noise mix keeps its form."""
+    if state.noise is not None:
+        inner, p = state.noise
+        return QuantumState(None, state.n_qubits, noise=(_conjugate(inner, u), p))
+    out = _rotate(state, u)
     if state.is_pure:
         return _pure_state(out, state.n_qubits)
     return QuantumState((out + out.conj().T) / 2.0, state.n_qubits)

@@ -1,8 +1,10 @@
 """State families and the declarative StateSpec they serialize to.
 
-All constructors return a QuantumState: an immutable density matrix with a
-lazily computed spectral decomposition. Pure states carry their state vector
-so the decomposition can be completed analytically (rank one) instead of
+All constructors return an immutable QuantumState. A pure state holds its
+vector and a white-noise mix its inner state and weight p; both build a dense
+rho only when a dense route first asks for it. completely_mixed, raw_matrix,
+mix and evolved mixed states hold their density matrix. A pure state's
+spectral decomposition is completed analytically (rank one) instead of
 running a full eigendecomposition of a 2^N matrix.
 """
 from __future__ import annotations
@@ -179,31 +181,43 @@ class StateSpec:
 
 
 class QuantumState:
-    """N-qubit density matrix with cached spectral decomposition.
+    """An N-qubit state: a pure state holds its `vector`, a white-noise mix
+    `noise` = (inner, p), and any other state its density matrix `rho`.
 
-    Instances are immutable; the spectrum is computed at most once and the
-    computation is serialized by a per-instance lock.
+    Instances are immutable. The rho of a pure state or a mix is built on
+    first use, and the spectrum at most once, both under a per-instance
+    reentrant lock: the spectrum of a dense state reads rho while holding it.
     """
 
-    __slots__ = ("n_qubits", "rho", "spec", "herm_residue", "_vector",
-                 "_spectrum", "_spectrum_fn", "_lock")
+    __slots__ = ("n_qubits", "spec", "herm_residue", "noise", "_rho", "_vector",
+                 "_spectrum", "_lock")
 
-    def __init__(self, rho: np.ndarray, n_qubits: int, *, vector=None,
-                 spectrum=None, spectrum_fn=None, spec=None, herm_residue=0.0):
+    def __init__(self, rho, n_qubits: int, *, vector=None, noise=None,
+                 spectrum=None, spec=None, herm_residue=0.0):
         self.n_qubits = int(n_qubits)
-        rho = np.asarray(rho, dtype=complex)
-        rho.setflags(write=False)
-        self.rho = rho
         self.spec = spec
         self.herm_residue = float(herm_residue)
+        self.noise = noise
+        self._rho = None if rho is None else _frozen(rho)
         self._vector = vector
         self._spectrum = spectrum
-        self._spectrum_fn = spectrum_fn
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()
+
+    @property
+    def rho(self) -> np.ndarray:
+        with self._lock:
+            if self._rho is None:
+                if self._vector is not None:
+                    rho = np.outer(self._vector, self._vector.conj())
+                else:
+                    inner, p = self.noise
+                    rho = p * inner.rho + (1.0 - p) * np.eye(self.dim) / self.dim
+                self._rho = _frozen(rho)
+            return self._rho
 
     @property
     def dim(self) -> int:
-        return self.rho.shape[0]
+        return 2 ** self.n_qubits
 
     @property
     def is_pure(self) -> bool:
@@ -219,11 +233,13 @@ class QuantumState:
             if self._spectrum is None:
                 if self._vector is not None:
                     self._spectrum = _pure_spectrum(self._vector)
-                elif self._spectrum_fn is not None:
-                    self._spectrum = self._spectrum_fn()
+                elif self.noise is not None:
+                    inner, p = self.noise
+                    dec = inner.spectrum
+                    self._spectrum = SpectralDecomposition(
+                        values=p * dec.values + (1.0 - p) / self.dim, vectors=dec.vectors)
                 else:
                     self._spectrum = eigh(self.rho)
-                self._spectrum_fn = None
             return self._spectrum
 
     def support(self, eps: float = 1e-12):
@@ -239,6 +255,12 @@ class QuantumState:
 
     def expectation(self, a: np.ndarray) -> complex:
         return complex(np.trace(self.rho @ a))
+
+
+def _frozen(rho) -> np.ndarray:
+    rho = np.asarray(rho, dtype=complex)
+    rho.setflags(write=False)
+    return rho
 
 
 def _pure_spectrum(psi: np.ndarray) -> SpectralDecomposition:
@@ -266,7 +288,7 @@ def _pure_state(psi: np.ndarray, n_qubits: int, spec=None) -> QuantumState:
         raise ValidationError("state vector has zero norm")
     psi = psi / nrm
     psi.setflags(write=False)
-    return QuantumState(np.outer(psi, psi.conj()), n_qubits, vector=psi, spec=spec)
+    return QuantumState(None, n_qubits, vector=psi, spec=spec)
 
 
 def apply_local_unitary(psi: np.ndarray, u: np.ndarray, n_qubits: int) -> np.ndarray:
@@ -432,18 +454,10 @@ def white_noise_mix(state: QuantumState, p: float) -> QuantumState:
     """p * state + (1 - p) * identity / 2^N."""
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"noise weight p={p} out of [0, 1]")
-    dim = state.dim
-    rho = p * state.rho + (1.0 - p) * np.eye(dim) / dim
-
-    def _spectrum():
-        inner = state.spectrum
-        return SpectralDecomposition(values=p * inner.values + (1.0 - p) / dim,
-                                     vectors=inner.vectors)
-
     spec = None
     if state.spec is not None:
         spec = StateSpec("white_noise_mix", state.n_qubits, p=float(p), inner=state.spec)
-    return QuantumState(rho, state.n_qubits, spectrum_fn=_spectrum, spec=spec)
+    return QuantumState(None, state.n_qubits, noise=(state, p), spec=spec)
 
 
 def mix(states: Sequence[QuantumState], weights) -> QuantumState:

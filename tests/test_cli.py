@@ -251,6 +251,20 @@ def test_max_qubits_above_the_ceiling_is_rejected(tmp_path, capsys):
     assert main(["analyze", path, "--max-qubits", "62"]) == 0
 
 
+@pytest.mark.parametrize("flags, config", [
+    (["--max-qubits", "62"], None),
+    ([], {"dimension_cap": 8192}),
+], ids=["max-qubits-62", "config-8192"])
+def test_report_echoes_the_enforced_dimension_cap(tmp_path, capsys, flags, config):
+    # every size check stops at 2^12, so that is the cap the report states
+    path = write_spec(tmp_path, "ghz4.json", GHZ4)
+    if config is not None:
+        flags = flags + ["--config", write_spec(tmp_path, "cfg.json", config)]
+    assert main(["analyze", path] + flags) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["diagnostics"]["config"]["dimension_cap"] == 4096
+
+
 @pytest.mark.parametrize("text, code", [
     (b'{"kind": "ghz", "n_qubits": 3, "m": 2, "c": [1, 0, 0]}', 2),
     (b'{"kind": "ghz", "n_qubits": 4.7}', 2),

@@ -1,9 +1,11 @@
-"""Byte-for-byte regression of `analyze` and `depth` against a recorded corpus.
+"""Byte-for-byte regression of `analyze`, `depth` and `crb` against a recorded corpus.
 
 Each file in golden/specs/ is a state spec; golden/<name>.analyze.json and
 golden/<name>.depth.json hold the CLI's stdout for it. The corpus covers
-every StateSpec kind plus N = 1 and N = 2 edge cases. To re-record after a
-deliberate output change, run from the repository root:
+every StateSpec kind plus N = 1 and N = 2 edge cases. CRB_CASES runs `crb`
+on some of those specs; golden/<name>.crb-<measurement>-<direction>.json
+holds its stdout (theta 0.1). To re-record after a deliberate output change,
+run from the repository root:
 
     for f in tests/golden/specs/*.json; do
       b=$(basename "$f" .json)
@@ -11,6 +13,7 @@ deliberate output change, run from the repository root:
         PYTHONPATH=src python -m spinqfi.cli "$c" "$f" > "tests/golden/$b.$c.json"
       done
     done
+    PYTHONPATH=src python tests/test_golden.py
 """
 import json
 from pathlib import Path
@@ -22,6 +25,25 @@ from spinqfi.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 SPECS = sorted((GOLDEN / "specs").glob("*.json"))
+# (spec stem, phase direction, measurement)
+CRB_CASES = [
+    ("ghz_n4_z", "z", "parity-x"),
+    ("dicke_n6_m3_z", "x", "computational"),
+    ("dicke_n5_m1_y", "x", "collective"),
+    ("white_noise_ghz_n2", "y", "parity-x"),
+    ("white_noise_ghz_n5", "z", "parity-x"),
+    ("white_noise_ghz_n5", "z", "parity-y"),
+    ("white_noise_dicke_n6", "z", "parity-x"),
+]
+
+
+def _crb_argv(stem, direction, measurement):
+    return ["crb", str(GOLDEN / "specs" / f"{stem}.json"),
+            "--direction", direction, "--measurement", measurement]
+
+
+def _crb_golden(stem, direction, measurement):
+    return GOLDEN / f"{stem}.crb-{measurement}-{direction}.json"
 
 
 def test_corpus_covers_every_kind_and_edge_size():
@@ -37,3 +59,14 @@ def test_golden_output(spec, command, capsys):
     assert main([command, str(spec)]) == 0
     expected = (GOLDEN / f"{spec.stem}.{command}.json").read_text()
     assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("case", CRB_CASES, ids=["-".join(c) for c in CRB_CASES])
+def test_golden_crb(case, capsys):
+    assert main(_crb_argv(*case)) == 0
+    assert capsys.readouterr().out == _crb_golden(*case).read_text()
+
+
+if __name__ == "__main__":
+    for case in CRB_CASES:
+        assert main(_crb_argv(*case) + ["--out", str(_crb_golden(*case))]) == 0

@@ -178,6 +178,61 @@ def test_parity_along_rotation_axis_is_blind():
     assert abs(fcl) < 1e-6
 
 
+# ------------------------------------------------------------ white-noise route
+
+def _measurements(n, direction, rng):
+    yield "parity-x", itf.Measurement.parity("x", n)
+    yield "parity-y", itf.Measurement.parity("y", n)
+    yield "computational", itf.Measurement.computational(n)
+    yield "collective", itf.Measurement.collective(direction, n)
+    yield "random", itf.Measurement(np.arange(2 ** n),
+                                    helpers.random_projective_measurement(2 ** n, rng))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_white_noise_fisher_matches_dense_route(n):
+    # the mix is evolved and measured through its inner state; the dense
+    # route conjugates the full rho of the same state
+    rng = np.random.default_rng(8100 + n)
+    inners = [states.ghz(n, "z"), states._pure_state(helpers.haar_ket(2 ** n, rng), n)]
+    for inner, p in itertools.product(inners, (0.2, 0.55, 0.9)):
+        noisy = states.white_noise_mix(inner, p)
+        dense = states.from_matrix(noisy.rho, n)
+        d = helpers.random_direction(rng)
+        setting = itf.PhaseSetting(rng.uniform(0.05, 0.5), tuple(d))
+        for name, meas in _measurements(n, d, rng):
+            got = itf.classical_fisher_report(noisy, setting, meas)
+            want = itf.classical_fisher_report(dense, setting, meas)
+            assert abs(got["value"] - want["value"]) <= 1e-9, (name, p)
+            assert got["excluded_outcomes"] == want["excluded_outcomes"], (name, p)
+            np.testing.assert_allclose(got["probabilities"], want["probabilities"],
+                                       rtol=0, atol=1e-12)
+
+
+def test_evolve_keeps_white_noise_form():
+    rng = np.random.default_rng(8200)
+    inner = states._pure_state(helpers.haar_ket(8, rng), 3)
+    noisy = states.white_noise_mix(states.white_noise_mix(inner, 0.8), 0.6)
+    d = helpers.random_direction(rng)
+    out = itf.evolve(noisy, itf.PhaseSetting(0.37, tuple(d)))
+    assert out.noise is not None and out.noise[1] == 0.6
+    assert out.noise[0].noise is not None and out.noise[0].noise[1] == 0.8
+    assert out.noise[0].noise[0].is_pure
+    dense = itf.evolve(states.from_matrix(noisy.rho, 3), itf.PhaseSetting(0.37, tuple(d)))
+    np.testing.assert_allclose(out.rho, dense.rho, atol=1e-12)
+
+
+@pytest.mark.parametrize("p", [None, 0.7])
+def test_crb_leaves_rho_unbuilt(p):
+    inner = states.ghz(5, "z")
+    st = inner if p is None else states.white_noise_mix(inner, p)
+    d = (0.0, 0.0, 1.0)
+    fq = qfi.qfi_direction(st, d)
+    fcl = itf.classical_fisher(st, itf.PhaseSetting(0.1, d), itf.Measurement.parity("x", 5))
+    assert 0.0 < fcl <= fq + 1e-6
+    assert st._rho is None and inner._rho is None
+
+
 # ------------------------------------------------------------ bound
 
 def test_crb_bound_value_and_insensitive_branch():

@@ -2,12 +2,14 @@ import inspect
 import json
 import math
 import re
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spinqfi import landscape, states
+from spinqfi import interferometer, landscape, states
 from spinqfi.errors import DimensionCapError, SpecError, ValidationError
 
 import helpers
@@ -364,6 +366,50 @@ def test_state_matrices_are_read_only():
         st.rho[0, 0] = 5.0
     with pytest.raises(ValueError):
         st.vector[0] = 5.0
+
+
+def _fresh_state_of_each_kind():
+    rng = np.random.default_rng(37)
+    mixed = states.from_matrix(helpers.ginibre_mixed(3, rng), 3)
+    setting = interferometer.PhaseSetting(0.3, (0.6, 0.0, 0.8))
+    return {
+        "pure": lambda: states.ghz(3, "x"),
+        "white_noise": lambda: states.white_noise_mix(states.dicke(3, 1, "y"), 0.4),
+        "completely_mixed": lambda: states.completely_mixed(3),
+        "raw_matrix": lambda: states.from_matrix(mixed.rho, 3),
+        "mix": lambda: states.mix([states.ghz(3), mixed], [0.3, 0.7]),
+        "evolved_dense": lambda: interferometer.evolve(mixed, setting),
+    }
+
+
+@pytest.mark.parametrize("kind", list(_fresh_state_of_each_kind()))
+def test_concurrent_reads_do_not_deadlock(kind):
+    # rho, spectrum and support are built lazily under the state's lock, and
+    # the spectrum of a dense state reads rho while holding it
+    readers = (lambda s: s.rho, lambda s: s.spectrum, lambda s: s.support())
+    for first in range(3):
+        st = _fresh_state_of_each_kind()[kind]()
+        start = threading.Barrier(6)
+        errors = []
+
+        def read(order):
+            try:
+                start.wait(timeout=30)
+                for r in order:
+                    r(st)
+            except Exception as exc:  # reported below, not swallowed
+                errors.append(exc)
+
+        orders = [readers[first:] + readers[:first], readers[::-1]] * 3
+        threads = [threading.Thread(target=read, args=(o,), daemon=True) for o in orders]
+        for t in threads:
+            t.start()
+        deadline = time.monotonic() + 30
+        for t in threads:
+            t.join(timeout=max(0.0, deadline - time.monotonic()))
+        assert not any(t.is_alive() for t in threads), f"{kind}: a reader hung"
+        assert errors == []
+        np.testing.assert_allclose(st.spectrum.reconstruct(), st.rho, atol=1e-12)
 
 
 def test_apply_local_unitary_matches_kron():
