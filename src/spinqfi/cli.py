@@ -100,27 +100,28 @@ def _emit(text: str, out_path) -> None:
 
 # ---------------------------------------------------------------- spec loading
 
-def load_spec_file(path: str) -> StateSpec:
+def _read_json(path: str, what: str, parse=lambda doc: doc):
+    """parse(path's JSON); unreadable, non-JSON or too deeply nested input is a SpecError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
+        return parse(doc)
     except OSError as exc:
-        raise SpecError(f"cannot read spec file {path}: {exc}") from exc
+        raise SpecError(f"cannot read {what} file {path}: {exc}") from exc
     except ValueError as exc:  # JSONDecodeError, bad UTF-8, over-long integers
-        raise SpecError(f"spec file {path} is not valid JSON: {exc}") from exc
-    return StateSpec.from_dict(doc)
+        raise SpecError(f"{what} file {path} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise SpecError(f"{what} file {path} nests too deeply to parse") from None
+
+
+def load_spec_file(path: str) -> StateSpec:
+    return _read_json(path, "spec", StateSpec.from_dict)
 
 
 def load_config(args) -> AnalysisConfig:
     cfg = AnalysisConfig()
     if getattr(args, "config", None):
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except OSError as exc:
-            raise SpecError(f"cannot read config file {args.config}: {exc}") from exc
-        except ValueError as exc:
-            raise SpecError(f"config file is not valid JSON: {exc}") from exc
+        doc = _read_json(args.config, "config")
         if not isinstance(doc, dict):
             raise SpecError("config document must be an object")
         unknown = set(doc) - {field.name for field in fields(AnalysisConfig)}
@@ -198,18 +199,13 @@ def cmd_landscape(args) -> int:
         for point in landscape.sample_product_polytope(n, args.count, cfg.seed):
             rows.append((point.p, point.provenance.label()))
     elif args.family == "noise_line":
-        if args.spec:
-            base = states.from_spec(load_spec_file(args.spec), cap=cfg.dimension_cap)
-            if base.n_qubits != n:
-                raise ValidationError(f"--n-qubits {n} differs from the spec's {base.n_qubits}")
-        else:
-            base = states.ghz(n, "z", cap=cfg.dimension_cap)
+        spec = load_spec_file(args.spec) if args.spec else StateSpec("ghz", n, "z")
+        base = states.from_spec(spec, cap=cfg.dimension_cap)
+        if base.n_qubits != n:
+            raise ValidationError(f"--n-qubits {n} differs from the spec's {base.n_qubits}")
         grid = np.linspace(0.0, 1.0, max(2, args.count))
-        result = landscape.noise_line(base, grid)
-        for entry in result.entries:
-            label = entry.measured.provenance.label() if entry.measured.provenance \
-                else f"p={_format_float(entry.p)}"
-            rows.append((entry.measured.p, label))
+        for entry in landscape.noise_line(base, grid).entries:
+            rows.append((entry.measured.p, entry.measured.provenance.label()))
     else:
         raise ValidationError(f"unknown landscape family {args.family!r}")
     lines = ["F_x,F_y,F_z,spec_id"]

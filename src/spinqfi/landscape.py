@@ -54,6 +54,13 @@ class Polytope:
         object.__setattr__(self, "vertices", verts)
 
 
+def _coordinates(q) -> np.ndarray:
+    """The (F_x, F_y, F_z) of a FisherPoint or of any 3-sequence, as floats."""
+    if isinstance(q, FisherPoint):
+        q = q.p
+    return np.asarray(q, dtype=float).reshape(3)
+
+
 def _axis_permutation(point_z: np.ndarray, axis: str) -> np.ndarray:
     # the basis-l member of each family swaps coordinate l with z
     q = np.array(point_z, dtype=float)
@@ -161,9 +168,7 @@ def named_polytope(name: str, n_qubits: int) -> Polytope:
 def polytope_contains(poly: Polytope, q, tol: float = MEMBERSHIP_TOL) -> bool:
     """Convex-combination membership, boundary included: the nonnegative
     least-squares w of [V; 1] w = [q; 1] reproduces [q; 1] within tol."""
-    if isinstance(q, FisherPoint):
-        q = q.p
-    q = np.asarray(q, dtype=float).reshape(3)
+    q = _coordinates(q)
     verts = np.array([v.p for v in poly.vertices])
     if len(verts) > 8:
         raise ValidationError("membership test supports at most 8 vertices")
@@ -183,9 +188,7 @@ def product_state_for_point(q, n_qubits: int, tol: float = MEMBERSHIP_TOL) -> Qu
     The plane carries sum(q) = 2N with every component in [0, N]; the Bloch
     coefficients follow from c_l^2 = 1 - q_l / N.
     """
-    if isinstance(q, FisherPoint):
-        q = q.p
-    q = np.asarray(q, dtype=float).reshape(3)
+    q = _coordinates(q)
     n = int(n_qubits)
     if n % 2 != 0 or n < 2:
         raise ValidationError("product_state_for_point requires even n_qubits")
@@ -211,19 +214,23 @@ def noise_weight_for_scale(s: float, n_qubits: int) -> float:
     return (s * (1.0 - c) + math.sqrt(s * s * (1.0 - c) ** 2 + 4.0 * s * c)) / 2.0
 
 
+def _realize_in_cone(q, n_qubits: int, plane, polytope: str, plane_state) -> QuantumState:
+    """A state for a point q of the cone over the plane sum(F) = plane: plane_state(q / t)
+    mixed with white noise down to the scale t = sum(q) / plane (see noise_scale)."""
+    q = _coordinates(q)
+    t = float(q.sum()) / plane
+    if t > 1.0 + 1e-9:
+        raise ValidationError(f"point {q} lies outside the {polytope} polytope")
+    if t <= 1e-15:
+        return states.completely_mixed(n_qubits)
+    return states.white_noise_mix(plane_state(q / t), noise_weight_for_scale(t, n_qubits))
+
+
 def realize_product_point(q, n_qubits: int) -> QuantumState:
     """A separable state for any point of the product polytope (cone over the
     product triangle), by scaling down a plane point with white noise."""
-    if isinstance(q, FisherPoint):
-        q = q.p
-    q = np.asarray(q, dtype=float).reshape(3)
-    t = float(q.sum()) / (2.0 * n_qubits)
-    if t > 1.0 + 1e-9:
-        raise ValidationError(f"point {q} lies outside the product polytope")
-    if t <= 1e-15:
-        return states.completely_mixed(n_qubits)
-    pure = product_state_for_point(q / t, n_qubits)
-    return states.white_noise_mix(pure, noise_weight_for_scale(t, n_qubits))
+    return _realize_in_cone(q, n_qubits, 2.0 * n_qubits, "product",
+                            lambda point: product_state_for_point(point, n_qubits))
 
 
 def sample_product_polytope(n_qubits: int, count: int, seed: int) -> List[FisherPoint]:
@@ -366,9 +373,7 @@ def alpha_for_point(q, n_qubits: int, seed: int = 0, max_starts: int = 60) -> np
     family (the cross term cannot cancel the diagonal one) and raise
     NumericalError after the multistart budget.
     """
-    if isinstance(q, FisherPoint):
-        q = q.p
-    q = np.asarray(q, dtype=float).reshape(3)
+    q = _coordinates(q)
     n = int(n_qubits)
     if n % 4 != 0:
         raise ValidationError("alpha_for_point requires N divisible by 4")
@@ -410,15 +415,7 @@ def alpha_for_point(q, n_qubits: int, seed: int = 0, max_starts: int = 60) -> np
 def realize_dicke_point(q, n_qubits: int, seed: int = 0) -> QuantumState:
     """A state for an interior point of the cone spanned by the origin and
     the Dicke-plane triangle, via the closed-form inverse plus white noise."""
-    if isinstance(q, FisherPoint):
-        q = q.p
-    q = np.asarray(q, dtype=float).reshape(3)
     n = int(n_qubits)
-    t = float(q.sum()) / (n * (n + 2))
-    if t > 1.0 + 1e-9:
-        raise ValidationError(f"point {q} lies outside the Dicke polytope")
-    if t <= 1e-15:
-        return states.completely_mixed(n)
-    alpha = alpha_for_point(q / t, n, seed)
-    pure = states.dicke_superposition(alpha, n)
-    return states.white_noise_mix(pure, noise_weight_for_scale(t, n))
+    return _realize_in_cone(
+        q, n, n * (n + 2), "Dicke",
+        lambda point: states.dicke_superposition(alpha_for_point(point, n, seed), n))

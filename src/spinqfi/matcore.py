@@ -4,9 +4,9 @@ Everything downstream (collective operators, states, QFI) works with plain
 numpy complex128 arrays; this module owns the numerical conventions:
 
 * Hilbert-space dimension is capped at construction time by check_dim /
-  check_qubits, the only size guard: a caller's cap may lower the limit but
-  never raise it above DIM_CAP = 2**12, the largest register the dense
-  collective operators serve.
+  check_qubits, the only size guard, at DIM_CAP = 2**12, the largest register
+  the dense collective operators serve; states.from_spec alone passes them a
+  caller's cap, which may lower that limit but never raise it.
 * Hermitian inputs are accepted up to an absolute elementwise tolerance of
   1e-10 and symmetrized before any decomposition.
 * Eigenvalues are returned ascending, ties left in decomposition order.

@@ -1,11 +1,12 @@
 """State families and the declarative StateSpec they serialize to.
 
-All constructors return an immutable QuantumState. A pure state holds its
-vector and a white-noise mix its inner state and weight p; both build a dense
-rho only when a dense route first asks for it. completely_mixed, raw_matrix,
-mix and evolved mixed states hold their density matrix. A pure state's
-spectral decomposition is completed analytically (rank one) instead of
-running a full eigendecomposition of a 2^N matrix.
+All constructors return an immutable QuantumState and refuse a register above
+matcore.DIM_CAP before they allocate; from_spec alone applies a caller's lower
+cap. A pure state holds its vector and a white-noise mix its inner state and
+weight p; both build a dense rho only when a dense route first asks for it.
+completely_mixed, raw_matrix, mix and evolved mixed states hold their density
+matrix. A pure state's spectral decomposition is completed analytically (rank
+one) instead of running a full eigendecomposition of a 2^N matrix.
 """
 from __future__ import annotations
 
@@ -210,8 +211,9 @@ class QuantumState:
                 if self._vector is not None:
                     rho = np.outer(self._vector, self._vector.conj())
                 else:
-                    inner, p = self.noise
-                    rho = p * inner.rho + (1.0 - p) * np.eye(self.dim) / self.dim
+                    inner, p = self.noise  # inner.rho would cache a second dense matrix
+                    dense = np.outer(inner.vector, inner.vector.conj()) if inner.is_pure else inner.rho
+                    rho = p * dense + (1.0 - p) * np.eye(self.dim) / self.dim
                 self._rho = _frozen(rho)
             return self._rho
 
@@ -319,18 +321,18 @@ def _dicke_vector(n_qubits: int, m: int, basis: str) -> np.ndarray:
     return v
 
 
-def ghz(n_qubits: int, basis: str = "z", cap: int = DIM_CAP) -> QuantumState:
+def ghz(n_qubits: int, basis: str = "z") -> QuantumState:
     """(|0...0> + |1...1>)/sqrt(2), optionally rotated into the x or y basis."""
-    check_qubits(n_qubits, cap)
+    check_qubits(n_qubits)
     v = np.zeros(2 ** n_qubits, dtype=complex)
     v[0] = v[-1] = 1.0 / math.sqrt(2)
     v = _rotate_vector(v, basis, n_qubits)
     return _pure_state(v, n_qubits, spec=StateSpec("ghz", n_qubits, basis))
 
 
-def dicke(n_qubits: int, m: int, basis: str = "z", cap: int = DIM_CAP) -> QuantumState:
+def dicke(n_qubits: int, m: int, basis: str = "z") -> QuantumState:
     """Symmetric state with m excitations, equal weight on all placements."""
-    check_qubits(n_qubits, cap)
+    check_qubits(n_qubits)
     if not 0 <= m <= n_qubits:
         raise ValidationError(f"excitation count m={m} out of range 0..{n_qubits}")
     if basis != "z" and basis not in BASIS_ROTATION:
@@ -339,13 +341,13 @@ def dicke(n_qubits: int, m: int, basis: str = "z", cap: int = DIM_CAP) -> Quantu
     return _pure_state(v, n_qubits, spec=StateSpec("dicke", n_qubits, basis, m=m))
 
 
-def product_bloch(c, n_qubits: int, cap: int = DIM_CAP) -> QuantumState:
+def product_bloch(c, n_qubits: int) -> QuantumState:
     """Half the qubits polarized along +c, half along -c (N even).
 
     c is a real unit Bloch vector; each qubit's state is an eigenvector of
     the 2x2 c.sigma = 2 J_c for one qubit.
     """
-    check_qubits(n_qubits, cap)
+    check_qubits(n_qubits)
     if n_qubits % 2 != 0:
         raise ValidationError("product_bloch requires an even number of qubits")
     c = check_direction(c)
@@ -365,13 +367,13 @@ def even_parity_indices(n_qubits: int) -> tuple:
     return tuple(range(0, n_qubits // 2 - 1, 2)) + (n_qubits // 2,)
 
 
-def even_parity(coeffs: Sequence[complex], n_qubits: int, cap: int = DIM_CAP) -> QuantumState:
+def even_parity(coeffs: Sequence[complex], n_qubits: int) -> QuantumState:
     """Superposition of mirrored Dicke pairs plus the balanced Dicke term.
 
     coeffs follows even_parity_indices(n_qubits); each index n < N/2 weights
     the normalized pair (|n excitations> + |N-n excitations|)/sqrt(2).
     """
-    check_qubits(n_qubits, cap)
+    check_qubits(n_qubits)
     idx = even_parity_indices(n_qubits)
     coeffs = tuple(complex(v) for v in coeffs)
     if len(coeffs) != len(idx):
@@ -391,13 +393,13 @@ def even_parity(coeffs: Sequence[complex], n_qubits: int, cap: int = DIM_CAP) ->
     return _pure_state(v, n_qubits, spec=StateSpec("even_parity", n_qubits, coeffs=coeffs))
 
 
-def dicke_superposition(alpha, n_qubits: int, cap: int = DIM_CAP) -> QuantumState:
+def dicke_superposition(alpha, n_qubits: int) -> QuantumState:
     """Complex combination of the balanced Dicke state along x, y and z.
 
     The three kets are not pairwise orthogonal, so the sum is renormalized
     explicitly. Requires N divisible by 4.
     """
-    check_qubits(n_qubits, cap)
+    check_qubits(n_qubits)
     if n_qubits % 4 != 0:
         raise ValidationError("dicke_superposition requires N divisible by 4")
     alpha = np.asarray(alpha, dtype=complex).reshape(3)
@@ -422,7 +424,7 @@ def normalized_amplitudes(alpha, n_qubits: int) -> np.ndarray:
     return alpha / math.sqrt(nrm2)
 
 
-def excited_dicke(n_qubits: int, basis: str = "z", cap: int = DIM_CAP) -> QuantumState:
+def excited_dicke(n_qubits: int, basis: str = "z") -> QuantumState:
     """One excited qubit tensored with an (N-1)-qubit Dicke state of N/2-1
     excitations. N even, N >= 4.
 
@@ -431,7 +433,7 @@ def excited_dicke(n_qubits: int, basis: str = "z", cap: int = DIM_CAP) -> Quantu
     N^2 of the two components transverse to that axis (F_x + F_y for "z"),
     so its three-component sum sits one unit below the biseparable_sum
     bound N^2 + 1."""
-    check_qubits(n_qubits, cap)
+    check_qubits(n_qubits)
     if n_qubits % 2 != 0 or n_qubits < 4:
         raise ValidationError("excited_dicke requires even n_qubits >= 4")
     one = np.array([0.0, 1.0], dtype=complex)
@@ -440,8 +442,8 @@ def excited_dicke(n_qubits: int, basis: str = "z", cap: int = DIM_CAP) -> Quantu
     return _pure_state(v, n_qubits, spec=StateSpec("excited_dicke", n_qubits, basis))
 
 
-def completely_mixed(n_qubits: int, cap: int = DIM_CAP) -> QuantumState:
-    check_qubits(n_qubits, cap)
+def completely_mixed(n_qubits: int) -> QuantumState:
+    check_qubits(n_qubits)
     dim = 2 ** n_qubits
     rho = np.eye(dim, dtype=complex) / dim
     spectrum = SpectralDecomposition(values=np.full(dim, 1.0 / dim),
@@ -474,7 +476,7 @@ def mix(states: Sequence[QuantumState], weights) -> QuantumState:
     return QuantumState(np.asarray(rho), n)
 
 
-def from_matrix(matrix, n_qubits: Optional[int] = None, cap: int = DIM_CAP) -> QuantumState:
+def from_matrix(matrix, n_qubits: Optional[int] = None) -> QuantumState:
     """Validate and wrap an explicit density matrix.
 
     Collects every failed check (shape, hermiticity, trace, positivity) into
@@ -496,7 +498,7 @@ def from_matrix(matrix, n_qubits: Optional[int] = None, cap: int = DIM_CAP) -> Q
         problems.append("entries must be finite")
     if problems:
         raise ValidationError("invalid density matrix: " + "; ".join(problems))
-    check_dim(dim, cap)
+    check_dim(dim)
 
     residue = hermiticity_residue(rho)
     if residue > 1e-10:
@@ -520,20 +522,19 @@ def from_matrix(matrix, n_qubits: Optional[int] = None, cap: int = DIM_CAP) -> Q
                         herm_residue=residue)
 
 
-def _white_noise(p: float, inner: StateSpec, n_qubits: Optional[int] = None,
-                 cap: int = DIM_CAP) -> QuantumState:
+def _white_noise(p: float, inner: StateSpec, n_qubits: Optional[int] = None) -> QuantumState:
     """white_noise_mix of the state `inner` describes; n_qubits, when given,
     must be that state's."""
-    state = from_spec(inner, cap)
+    state = from_spec(inner)
     if n_qubits is not None and n_qubits != state.n_qubits:
         raise ValidationError(f"white_noise_mix n_qubits={n_qubits} differs from "
                               f"its inner state's {state.n_qubits}")
     return white_noise_mix(state, p)
 
 
-def _raw_matrix(matrix, n_qubits: int, cap: int = DIM_CAP) -> QuantumState:
+def _raw_matrix(matrix, n_qubits: int) -> QuantumState:
     """from_matrix, with n_qubits required as every spec but white noise states it."""
-    return from_matrix(matrix, n_qubits, cap)
+    return from_matrix(matrix, n_qubits)
 
 
 def builder(kind: str):
@@ -547,13 +548,19 @@ def builder(kind: str):
 
 
 def from_spec(spec: StateSpec, cap: int = DIM_CAP) -> QuantumState:
-    """Construct the state a StateSpec describes."""
+    """Construct the state a StateSpec describes, after checking every n_qubits
+    in it and its inner chain against cap: the one place a caller's cap applies."""
     if spec.kind not in KIND_FIELDS:
         raise ValidationError(f"unknown state kind {spec.kind!r}")
+    part = spec
+    while part is not None:
+        if part.n_qubits is not None:
+            check_qubits(part.n_qubits, cap)
+        part = part.inner
     build = builder(spec.kind)
     kwargs = dict(spec._kind_fields())
     missing = [name for name, param in inspect.signature(build).parameters.items()
                if param.default is param.empty and name not in kwargs]
     if missing:
         raise ValidationError(f"{spec.kind} spec requires {', '.join(missing)}")
-    return build(**kwargs, cap=cap)
+    return build(**kwargs)

@@ -230,15 +230,74 @@ def test_exit_code_dimension_cap(tmp_path, capsys):
 
 
 def test_max_qubits_beyond_the_dense_ceiling_fails_before_building(tmp_path, capsys):
-    # --max-qubits 13 is accepted, but no route serves 2^13: the guard in the
-    # state constructor refuses it before any vector or operator is formed
+    # --max-qubits 13 is accepted, but no route serves 2^13: from_spec holds
+    # the cap at 2^12 and refuses it before any vector or operator is formed
     path = write_spec(tmp_path, "ghz13.json", {"kind": "ghz", "n_qubits": 13, "basis": "z"})
     assert main(["depth", path, "--max-qubits", "13"]) == 5
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err)["error"]["type"] == "DimensionCapError"
     with pytest.raises(DimensionCapError):
-        states.ghz(13, "z", cap=2 ** 13)
+        states.from_spec(states.StateSpec("ghz", 13, "z"), cap=2 ** 13)
+
+
+def _unbuildable(monkeypatch):
+    """Make every spec builder fail the test if it is called."""
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("a state builder ran for an over-cap request")
+    for kind in states.KNOWN_KINDS:
+        monkeypatch.setattr(states, states.builder(kind).__name__, unbuilt)
+
+
+def _mixed_matrix(n_qubits):
+    dim = 2 ** n_qubits
+    return [[[1.0 / dim if i == j else 0.0, 0.0] for j in range(dim)] for i in range(dim)]
+
+
+@pytest.mark.parametrize("doc", [
+    {"kind": "white_noise_mix", "p": 0.5, "inner": {"kind": "ghz", "n_qubits": 4}},
+    {"kind": "white_noise_mix", "n_qubits": 4, "p": 0.5,
+     "inner": {"kind": "ghz", "n_qubits": 4}},
+    {"kind": "white_noise_mix", "p": 0.5,
+     "inner": {"kind": "white_noise_mix", "p": 0.5, "inner": {"kind": "ghz", "n_qubits": 4}}},
+    {"kind": "raw_matrix", "n_qubits": 4, "matrix": _mixed_matrix(4)},
+    # also invalid otherwise, which alone exits 3: the cap check comes first
+    {"kind": "raw_matrix", "n_qubits": 5, "matrix": _mixed_matrix(1)},
+    {"kind": "white_noise_mix", "n_qubits": 5, "p": 0.5,
+     "inner": {"kind": "ghz", "n_qubits": 3}},
+], ids=["noise-inner", "noise-outer-and-inner", "nested-noise", "raw-matrix",
+        "raw-matrix-mismatch", "noise-size-mismatch"])
+@pytest.mark.parametrize("command", ["analyze", "depth", "crb"])
+def test_cap_fires_before_any_builder_runs(tmp_path, capsys, monkeypatch, command, doc):
+    _unbuildable(monkeypatch)
+    assert main([command, write_spec(tmp_path, "s.json", doc), "--max-qubits", "3"]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"]["type"] == "DimensionCapError"
+
+
+@pytest.mark.parametrize("levels", [600, 3000])
+@pytest.mark.parametrize("command", ["analyze", "depth", "crb"])
+def test_deeply_nested_spec_is_a_parse_error(tmp_path, capsys, command, levels):
+    # json.dumps itself recurses, so the document is written level by level
+    text = '{"kind": "ghz", "n_qubits": 2}'
+    text = '{"kind": "white_noise_mix", "p": 0.9, "inner": ' * levels + text + "}" * levels
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"]["type"] == "SpecError"
+
+
+def test_deeply_nested_config_is_a_parse_error(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text('{"seed": ' + "[" * 3000 + "]" * 3000 + "}")
+    spec = write_spec(tmp_path, "ghz4.json", GHZ4)
+    assert main(["analyze", spec, "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"]["type"] == "SpecError"
 
 
 def test_max_qubits_above_the_ceiling_is_rejected(tmp_path, capsys):
@@ -345,7 +404,8 @@ def test_product_fill_csv(capsys):
 
 
 @pytest.mark.parametrize("family", ["dicke_plane", "product_fill", "noise_line"])
-def test_landscape_families_honour_the_dimension_cap(capsys, family):
+def test_landscape_families_honour_the_dimension_cap(capsys, monkeypatch, family):
+    _unbuildable(monkeypatch)
     assert main(["landscape", family, "--n-qubits", "8", "--count", "2",
                  "--max-qubits", "4"]) == 5
     captured = capsys.readouterr()

@@ -4,8 +4,10 @@ Each file in golden/specs/ is a state spec; golden/<name>.analyze.json and
 golden/<name>.depth.json hold the CLI's stdout for it. The corpus covers
 every StateSpec kind plus N = 1 and N = 2 edge cases. CRB_CASES runs `crb`
 on some of those specs; golden/<name>.crb-<measurement>-<direction>.json
-holds its stdout (theta 0.1). To re-record after a deliberate output change,
-run from the repository root:
+holds its stdout (theta 0.1). LANDSCAPE_CASES runs `landscape` with fixed
+seeds; golden/landscape_<case>.csv holds its stdout. `landmarks` stays out of
+the corpus while its excited-Dicke rows are under review (criterion 01). To
+re-record after a deliberate output change, run from the repository root:
 
     for f in tests/golden/specs/*.json; do
       b=$(basename "$f" .json)
@@ -34,6 +36,20 @@ CRB_CASES = [
     ("white_noise_ghz_n5", "z", "parity-x"),
     ("white_noise_ghz_n5", "z", "parity-y"),
     ("white_noise_dicke_n6", "z", "parity-x"),
+]
+
+# (case name, `landscape` arguments)
+LANDSCAPE_CASES = [
+    ("dicke_plane_n4", ["dicke_plane", "--n-qubits", "4", "--count", "6", "--seed", "3"]),
+    ("dicke_plane_n8", ["dicke_plane", "--n-qubits", "8", "--count", "6", "--seed", "7"]),
+    ("product_fill_n4", ["product_fill", "--n-qubits", "4", "--count", "6", "--seed", "11"]),
+    ("product_fill_n8", ["product_fill", "--n-qubits", "8", "--count", "6", "--seed", "13"]),
+    ("noise_line_n4", ["noise_line", "--n-qubits", "4", "--count", "5"]),
+    ("noise_line_n8", ["noise_line", "--n-qubits", "8", "--count", "5"]),
+    ("noise_line_dicke_n6_m3_z", ["noise_line", "--n-qubits", "6", "--count", "5",
+                                  "--spec", str(GOLDEN / "specs" / "dicke_n6_m3_z.json")]),
+    ("noise_line_white_noise_ghz_n5", ["noise_line", "--n-qubits", "5", "--count", "5",
+                                       "--spec", str(GOLDEN / "specs" / "white_noise_ghz_n5.json")]),
 ]
 
 
@@ -67,6 +83,14 @@ def test_golden_crb(case, capsys):
     assert capsys.readouterr().out == _crb_golden(*case).read_text()
 
 
+@pytest.mark.parametrize("name, argv", LANDSCAPE_CASES, ids=[c[0] for c in LANDSCAPE_CASES])
+def test_golden_landscape(name, argv, capsys):
+    assert main(["landscape"] + argv) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"landscape_{name}.csv").read_text()
+
+
 if __name__ == "__main__":
     for case in CRB_CASES:
         assert main(_crb_argv(*case) + ["--out", str(_crb_golden(*case))]) == 0
+    for name, argv in LANDSCAPE_CASES:
+        assert main(["landscape"] + argv + ["--out", str(GOLDEN / f"landscape_{name}.csv")]) == 0

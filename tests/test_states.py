@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinqfi import interferometer, landscape, states
+from spinqfi import criteria, interferometer, landscape, states
 from spinqfi.errors import DimensionCapError, SpecError, ValidationError
 
 import helpers
@@ -175,6 +175,15 @@ def test_white_noise_mix_matrix_and_spectrum():
                                np.sort(np.linalg.eigvalsh(noisy.rho)), atol=1e-12)
 
 
+def test_white_noise_rho_leaves_the_inner_state_without_a_dense_rho():
+    inner = states.ghz(4, "z")
+    noisy = states.white_noise_mix(inner, 0.7)
+    criteria.evaluate_all(noisy)
+    assert noisy._rho is not None
+    assert inner._rho is None
+    np.testing.assert_array_equal(noisy.rho, 0.7 * inner.rho + (1.0 - 0.7) * np.eye(16) / 16)
+
+
 def test_white_noise_weight_range_checked():
     with pytest.raises(ValidationError):
         states.white_noise_mix(states.ghz(2), 1.5)
@@ -310,7 +319,14 @@ def test_huge_n_qubits_fails_the_cap_without_forming_the_dimension():
 @pytest.mark.parametrize("kind", sorted(states.KNOWN_KINDS))
 def test_kind_fields_are_the_builder_parameters(kind):
     params = inspect.signature(states.builder(kind)).parameters
-    assert set(states.KIND_FIELDS[kind]) == set(params) - {"cap"}
+    assert set(states.KIND_FIELDS[kind]) == set(params)
+
+
+def test_from_spec_is_the_only_function_taking_a_cap():
+    takers = {name for name, fn in inspect.getmembers(states, inspect.isfunction)
+              if fn.__module__ == states.__name__
+              and "cap" in inspect.signature(fn).parameters}
+    assert takers == {"from_spec"}
 
 
 def provenance_specs():
