@@ -14,6 +14,8 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass, fields, replace
+from functools import lru_cache
+from typing import Optional
 
 import numpy as np
 
@@ -60,10 +62,43 @@ def _format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _layout(items, indent: int, brackets: str = "[]") -> str:
+    inner = "  " * (indent + 1)
+    return (brackets[0] + "\n" + ",\n".join(inner + it for it in items) + "\n"
+            + "  " * indent + brackets[1])
+
+
+@lru_cache(maxsize=64)
+def _float_template(count: int, width: Optional[int], indent: int) -> str:
+    if width is None:
+        return _layout(["%.17g"] * count, indent)
+    return _layout([_layout(["%.17g"] * width, indent + 1)] * count, indent)
+
+
+def _float_rows(obj: list, indent: int) -> Optional[str]:
+    """dumps of a nonempty list of Python floats, or of equal-length nonempty
+    lists of them, filled into a %.17g template by one % call (the formatter
+    of f"{x:.17g}"); None for any other list."""
+    first = obj[0]
+    if type(first) is float:
+        flat, width = obj, None
+    elif type(first) is list and first and type(first[0]) is float:
+        width = len(first)
+        if set(map(type, obj)) != {list} or set(map(len, obj)) != {width}:
+            return None
+        flat = [x for row in obj for x in row]
+    else:
+        return None
+    if set(map(type, flat)) != {float}:
+        return None
+    text = _float_template(len(obj), width, indent) % tuple(flat)
+    if "n" in text:  # "nan" or "inf"; the template and finite floats hold no "n"
+        raise ValidationError("cannot serialize non-finite numbers")
+    return text
+
+
 def dumps(obj, indent: int = 0) -> str:
     """Deterministic JSON with 17-significant-digit floats."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -79,14 +114,15 @@ def dumps(obj, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = [dumps(v, indent + 1) for v in obj]
-        return "[\n" + ",\n".join(inner + it for it in items) + "\n" + pad + "]"
+        text = _float_rows(obj, indent) if type(obj) is list else None
+        return text or _layout([dumps(v, indent + 1) for v in obj], indent)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = [f"{inner}{json.dumps(str(k))}: {dumps(v, indent + 1)}"
-                 for k, v in obj.items()]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+        items = []
+        for k, v in obj.items():  # a loop, so each level of a spec's inner chain is one frame
+            items.append(f"{json.dumps(str(k))}: {dumps(v, indent + 1)}")
+        return _layout(items, indent, "{}")
     raise ValidationError(f"cannot serialize {type(obj).__name__}")
 
 

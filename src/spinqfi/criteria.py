@@ -11,7 +11,8 @@ Bound families
 * biseparable states:    F_Q[J_l] <= (N-1)^2 + 1,  sum_l F_Q <= N^2 + 1
 * >= M unentangled:      sum_l F_Q <= M + (N-M)(N-M+2)
 * variance floor:        separable states keep sum_l (Delta J_l)^2 >= N/2,
-                         so dropping below the floor flags entanglement
+                         so dropping below the floor flags entanglement; the
+                         sum is qfi.collective_variances, four dense products
 
 The spectral forms replace the axis values with the trace and largest
 eigenvalue of the QFI matrix, which makes them invariant under collective
@@ -28,8 +29,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .errors import ValidationError
-from .qfi import QfiMatrix, qfi_matrix, variance
-from .collective import collective_all
+from .qfi import QfiMatrix, collective_variances, qfi_matrix
 from .states import QuantumState
 
 TOL_VIOLATION = 1e-9
@@ -187,8 +187,10 @@ def _qfi_statistics(qmat: QfiMatrix) -> dict:
 
 
 def variance_criterion(state: QuantumState, tol: float = TOL_VIOLATION) -> CriterionReport:
-    """Flag entanglement when the collective variance sum drops below N/2."""
-    total = sum(variance(state, j) for j in collective_all(state.n_qubits))
+    """Flag entanglement when the collective variance sum drops below N/2.
+
+    The sum runs in x, y, z order over `qfi.collective_variances`."""
+    total = sum(collective_variances(state))
     return _variance_rung(state.n_qubits).evaluate(total, tol)
 
 

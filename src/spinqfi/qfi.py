@@ -16,6 +16,9 @@ only needs the support eigenvectors:
 
 with A_i = V^dag J_i V on the support and w_lm = 2 (lam_l - lam_m)^2 /
 (lam_l + lam_m). The second term drops out for full-rank states.
+
+collective_variances gives the variances the criteria's variance floor sums
+from four dense products; `variance` serves any other observable.
 """
 from __future__ import annotations
 
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collective import check_direction, collective_all
+from .collective import check_direction, collective_all, collective_square
 from .errors import NumericalError, ValidationError
 from .matcore import require_hermitian
 from .states import QuantumState
@@ -73,21 +76,28 @@ class QfiMatrix:
 
 
 def qfi_matrix(state: QuantumState, eps_rank: float = EPS_RANK) -> QfiMatrix:
-    """Assemble the collective-spin QFI matrix of a state."""
+    """Assemble the collective-spin QFI matrix of a state.
+
+    The J_i V blocks are kept only for a rank-deficient support, whose
+    completeness term reads them."""
     lam, vs = state.support(eps_rank)
-    ops = collective_all(state.n_qubits)
-    b = [j @ vs for j in ops]
-    a = [vs.conj().T @ bi for bi in b]
-
-    pair_sum = lam[:, None] + lam[None, :]
-    pair_diff = lam[:, None] - lam[None, :]
-    w = 2.0 * pair_diff * pair_diff / pair_sum
-
+    vh = vs.conj().T
+    b = [j @ vs for j in collective_all(state.n_qubits)]
+    a = [vh @ bi for bi in b]
+    del vh
     full_rank = vs.shape[1] == state.dim
+    if full_rank:
+        del b
+
+    pair_diff = lam[:, None] - lam[None, :]
+    w = 2.0 * pair_diff * pair_diff / (lam[:, None] + lam[None, :])
+    del pair_diff
+
     out = np.empty((3, 3), dtype=complex)
     for i in range(3):
+        wa = w * a[i]
         for j in range(i, 3):
-            val = np.sum(w * a[i] * a[j].conj())
+            val = np.sum(wa * a[j].conj())
             if not full_rank:
                 cross = np.einsum("dk,dk->k", b[i].conj(), b[j])
                 inside = np.einsum("dk,dk->k", a[i].conj(), a[j])
@@ -124,6 +134,26 @@ def variance(state: QuantumState, a) -> float:
     mean = state.expectation(a).real
     second = state.expectation(a @ a).real
     return _clamp_nonneg(second - mean * mean)
+
+
+def collective_variances(state: QuantumState) -> tuple:
+    """((Delta J_x)^2, (Delta J_y)^2, (Delta J_z)^2), bit for bit what
+    `variance` gives for each cached J, from four dense products.
+
+    J_z is diagonal, so (rho J_z)_ii is rho_ii jz_i rounded once, and numpy
+    sums the diagonal in the same order as the trace."""
+    n, rho = state.n_qubits, state.rho
+    out = []
+    for axis, j in zip("xy", collective_all(n)):
+        mean = complex(np.trace(rho @ j)).real
+        second = complex(np.trace(rho @ collective_square(axis, n))).real
+        out.append(_clamp_nonneg(second - mean * mean))
+    jz = n / 2 - np.bitwise_count(np.arange(state.dim))
+    diag = np.diagonal(rho)
+    mean = complex((diag * jz).sum()).real
+    second = complex((diag * (jz * jz)).sum()).real
+    out.append(_clamp_nonneg(second - mean * mean))
+    return tuple(out)
 
 
 def average_qfi(state: QuantumState, eps_rank: float = EPS_RANK) -> float:

@@ -115,8 +115,8 @@ _CODECS = {
     "coeffs": _Codec(_list_of(_complex), _pairs, lambda v: "coeffs=" + _complex_token(v)),
     "alpha": _Codec(_list_of(_complex, 3), _pairs, lambda v: "alpha=" + _complex_token(v)),
     "p": _Codec(_real, float, lambda v: f"p={v:.17g}"),
-    "inner": _Codec(lambda v: StateSpec.from_dict(v), lambda v: v.to_dict(),
-                    lambda v: f"inner=({v.label()})"),
+    # to_dict and label walk the inner chain themselves, without recursion
+    "inner": _Codec(lambda v: StateSpec.from_dict(v), None, None),
     "matrix": _Codec(_matrix, lambda v: [_pairs(row) for row in v], lambda v: None),
 }
 
@@ -145,16 +145,32 @@ class StateSpec:
         return [(f.name, getattr(self, f.name)) for f in fields(self)
                 if f.name in taken and getattr(self, f.name) is not None]
 
+    def _chain(self):
+        """This spec and its inner specs, outermost first, each with the
+        (name, value) of its kind's fields other than inner."""
+        spec = self
+        while spec is not None:
+            named = spec._kind_fields()
+            yield spec, [(name, value) for name, value in named if name != "inner"]
+            spec = dict(named).get("inner")
+
     def to_dict(self) -> dict:
-        doc: dict = {"kind": self.kind}
-        for name, value in self._kind_fields():
-            doc[name] = _CODECS[name].encode(value)
-        return doc
+        root = doc = {}
+        for spec, named in self._chain():
+            if doc:
+                doc["inner"] = doc = {}  # inner is the last field of its kind
+            doc["kind"] = spec.kind
+            for name, value in named:
+                doc[name] = _CODECS[name].encode(value)
+        return root
 
     def label(self) -> str:
         """Compact single-token state descriptor for point-cloud rows."""
-        tokens = [_CODECS[name].token(value) for name, value in self._kind_fields()]
-        return " ".join([self.kind] + [t for t in tokens if t is not None])
+        heads = []
+        for spec, named in self._chain():
+            tokens = [_CODECS[name].token(value) for name, value in named]
+            heads.append(" ".join([spec.kind] + [t for t in tokens if t is not None]))
+        return " inner=(".join(heads) + ")" * (len(heads) - 1)
 
     @staticmethod
     def from_dict(doc) -> "StateSpec":
@@ -247,12 +263,15 @@ class QuantumState:
     def support(self, eps: float = 1e-12):
         """Eigenvalues above eps and the matching eigenvector columns.
 
-        Eigenvalues at or below eps are treated as exactly zero.
+        Eigenvalues at or below eps are treated as exactly zero. A full-rank
+        spectrum is returned as it is held, read-only and uncopied.
         """
         if self._vector is not None:
             return np.array([1.0]), self._vector.reshape(-1, 1)
         dec = self.spectrum
         keep = dec.values > eps
+        if keep.all():
+            return dec.values, dec.vectors
         return dec.values[keep], dec.vectors[:, keep]
 
     def expectation(self, a: np.ndarray) -> complex:
@@ -278,6 +297,7 @@ def _pure_spectrum(psi: np.ndarray) -> SpectralDecomposition:
     order.pop(k)
     order.append(k)
     basis = basis[:, order]
+    basis.setflags(write=False)  # a view, which SpectralDecomposition leaves writeable
     values = np.zeros(d)
     values[-1] = 1.0
     return SpectralDecomposition(values=values, vectors=basis)
@@ -517,19 +537,18 @@ def from_matrix(matrix, n_qubits: Optional[int] = None) -> QuantumState:
     if problems:
         raise ValidationError("invalid density matrix: " + "; ".join(problems))
     spec = StateSpec("raw_matrix", n_qubits,
-                     matrix=tuple(tuple(complex(z) for z in row) for row in rho))
+                     matrix=tuple(map(tuple, rho.tolist())))
     return QuantumState(rho, n_qubits, spectrum=spectrum, spec=spec,
                         herm_residue=residue)
 
 
-def _white_noise(p: float, inner: StateSpec, n_qubits: Optional[int] = None) -> QuantumState:
-    """white_noise_mix of the state `inner` describes; n_qubits, when given,
-    must be that state's."""
-    state = from_spec(inner)
-    if n_qubits is not None and n_qubits != state.n_qubits:
+def _white_noise(p: float, inner: QuantumState, n_qubits: Optional[int] = None) -> QuantumState:
+    """white_noise_mix of the inner state, which from_spec builds first;
+    n_qubits, when given, must be that state's."""
+    if n_qubits is not None and n_qubits != inner.n_qubits:
         raise ValidationError(f"white_noise_mix n_qubits={n_qubits} differs from "
-                              f"its inner state's {state.n_qubits}")
-    return white_noise_mix(state, p)
+                              f"its inner state's {inner.n_qubits}")
+    return white_noise_mix(inner, p)
 
 
 def _raw_matrix(matrix, n_qubits: int) -> QuantumState:
@@ -549,7 +568,10 @@ def builder(kind: str):
 
 def from_spec(spec: StateSpec, cap: int = DIM_CAP) -> QuantumState:
     """Construct the state a StateSpec describes, after checking every n_qubits
-    in it and its inner chain against cap: the one place a caller's cap applies."""
+    in it and its inner chain against cap: the one place a caller's cap applies.
+
+    The chain is walked in a loop, outermost spec first for the checks and
+    innermost first for the builds, so its depth is bounded only by parsing."""
     if spec.kind not in KIND_FIELDS:
         raise ValidationError(f"unknown state kind {spec.kind!r}")
     part = spec
@@ -557,10 +579,21 @@ def from_spec(spec: StateSpec, cap: int = DIM_CAP) -> QuantumState:
         if part.n_qubits is not None:
             check_qubits(part.n_qubits, cap)
         part = part.inner
-    build = builder(spec.kind)
-    kwargs = dict(spec._kind_fields())
-    missing = [name for name, param in inspect.signature(build).parameters.items()
-               if param.default is param.empty and name not in kwargs]
-    if missing:
-        raise ValidationError(f"{spec.kind} spec requires {', '.join(missing)}")
-    return build(**kwargs)
+    wrappers = []
+    while True:
+        if spec.kind not in KIND_FIELDS:
+            raise ValidationError(f"unknown state kind {spec.kind!r}")
+        kwargs = dict(spec._kind_fields())
+        params = inspect.signature(builder(spec.kind)).parameters
+        missing = [name for name, param in params.items()
+                   if param.default is param.empty and name not in kwargs]
+        if missing:
+            raise ValidationError(f"{spec.kind} spec requires {', '.join(missing)}")
+        if spec.kind != "white_noise_mix":
+            break
+        wrappers.append(kwargs)
+        spec = kwargs["inner"]
+    state = builder(spec.kind)(**kwargs)
+    for kwargs in reversed(wrappers):
+        state = builder("white_noise_mix")(**dict(kwargs, inner=state))
+    return state

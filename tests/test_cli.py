@@ -14,6 +14,8 @@ from spinqfi import cli, states
 from spinqfi.cli import AnalysisConfig, dumps, main
 from spinqfi.errors import DimensionCapError, NumericalError, SpecError, ValidationError
 
+import helpers
+
 
 def write_spec(tmp_path, name, doc):
     path = tmp_path / name
@@ -55,6 +57,90 @@ def test_dumps_rejects_nonfinite_and_unknown():
         dumps({"v": float("inf")})
     with pytest.raises(ValidationError):
         dumps({1, 2})
+
+
+def _recursive_dumps(obj, indent=0):
+    """The serializer as it was before float rows were filled by one % call,
+    kept as the second route to every byte of dumps."""
+    pad, inner = "  " * indent, "  " * (indent + 1)
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        if math.isnan(obj) or math.isinf(obj):
+            raise ValidationError("cannot serialize non-finite numbers")
+        return f"{float(obj):.17g}"
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, np.ndarray):
+        return _recursive_dumps(obj.tolist(), indent)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [_recursive_dumps(v, indent + 1) for v in obj]
+        return "[\n" + ",\n".join(inner + it for it in items) + "\n" + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [f"{inner}{json.dumps(str(k))}: {_recursive_dumps(v, indent + 1)}"
+                 for k, v in obj.items()]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    raise ValidationError(f"cannot serialize {type(obj).__name__}")
+
+
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e-5, 1e-16, 1e16, 1e22, 1 / 3, -2.5,
+               sys.float_info.max, -sys.float_info.max, sys.float_info.min]
+
+
+@pytest.mark.parametrize("obj", [
+    EDGE_FLOATS,
+    [EDGE_FLOATS[:4], EDGE_FLOATS[4:8], EDGE_FLOATS[8:12]],
+    {"100%": [1.5, 2.5], "key %s %d %%": "value %.17g %(x)s %", "%": [[0.5, -0.5]]},
+    ["%s", 1.0, "%%"],
+    [1.0, np.float64(0.1), 2.0],
+    [np.float64(0.1), 1.0],
+    [1.0, 2, 3.0],
+    [1.0, True, 3.0],
+    [[1.0, 2.0], [3, 4.0]],
+    [[True, 2.0], [3.0, 4.0]],
+    [np.arange(3.0), [1.0, 2.0, 3.0]],
+    [],
+    [[]],
+    [[], []],
+    [[1.0], []],
+    [[1.0, 2.0], [3.0]],
+    [[1.0, 2.0], (3.0, 4.0)],
+    (1.0, 2.0),
+    [(1.0, 2.0), (3.0, 4.0)],
+    [[[1.0, 2.0], [3.0, 4.0]], [[5.0, 6.0], [7.0, 8.0]]],
+    [[1.0, [2.0]], [3.0, 4.0]],
+    [0.5, None, "x"],
+    {"rows": [[0.1, 0.2, 0.3]] * 4, "flat": [0.7] * 9, "empty": [], "nested": {"a": [1e-300]}},
+], ids=lambda obj: type(obj).__name__)
+def test_dumps_matches_the_recursive_serializer(obj):
+    assert dumps(obj) == _recursive_dumps(obj)
+    assert dumps(obj, 3) == _recursive_dumps(obj, 3)
+
+
+@pytest.mark.parametrize("obj", [
+    [1.0, float("nan")], [float("inf"), 1.0], [-float("inf")],
+    [[1.0, 2.0], [float("nan"), 4.0]], {"rows": [[float("-inf")]]},
+])
+def test_dumps_rejects_nonfinite_float_rows_as_before(obj):
+    for serializer in (dumps, _recursive_dumps):
+        with pytest.raises(ValidationError, match="^cannot serialize non-finite numbers$"):
+            serializer(obj)
+
+
+def test_dumps_matches_the_recursive_serializer_on_a_raw_matrix_document():
+    rho = np.array(helpers.ginibre_mixed(5, np.random.default_rng(9), rank=7))
+    spec = states.from_matrix(rho, 5).spec
+    doc = cli.analysis_document(spec, AnalysisConfig())
+    assert doc["input_spec"]["kind"] == "raw_matrix"
+    assert dumps(doc) == _recursive_dumps(doc)
 
 
 # ------------------------------------------------------------ configuration
@@ -276,14 +362,17 @@ def test_cap_fires_before_any_builder_runs(tmp_path, capsys, monkeypatch, comman
     assert json.loads(captured.err)["error"]["type"] == "DimensionCapError"
 
 
+def _noise_chain(levels):
+    # json.dumps itself recurses, so the document is written level by level
+    text = '{"kind": "ghz", "n_qubits": 2}'
+    return '{"kind": "white_noise_mix", "p": 0.9, "inner": ' * levels + text + "}" * levels
+
+
 @pytest.mark.parametrize("levels", [600, 3000])
 @pytest.mark.parametrize("command", ["analyze", "depth", "crb"])
 def test_deeply_nested_spec_is_a_parse_error(tmp_path, capsys, command, levels):
-    # json.dumps itself recurses, so the document is written level by level
-    text = '{"kind": "ghz", "n_qubits": 2}'
-    text = '{"kind": "white_noise_mix", "p": 0.9, "inner": ' * levels + text + "}" * levels
     path = tmp_path / "deep.json"
-    path.write_text(text)
+    path.write_text(_noise_chain(levels))
     assert main([command, str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -297,6 +386,42 @@ def test_deeply_nested_config_is_a_parse_error(tmp_path, capsys):
     assert main(["analyze", spec, "--config", str(config)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
+    assert json.loads(captured.err)["error"]["type"] == "SpecError"
+
+
+DEEP_COMMANDS = {
+    "analyze": lambda path: ["analyze", path],
+    "depth": lambda path: ["depth", path],
+    "crb": lambda path: ["crb", path],
+    "noise_line": lambda path: ["landscape", "noise_line", "--n-qubits", "2", "--count", "3",
+                                "--spec", path],
+}
+
+
+def _run_deep(tmp_path, capsys, command, levels):
+    """Exit code of one command on a noise chain; an escaping exception fails the test."""
+    path = tmp_path / f"deep{levels}.json"
+    path.write_text(_noise_chain(levels))
+    code = main(DEEP_COMMANDS[command](str(path)))
+    captured = capsys.readouterr()
+    assert code in (0, 2, 3, 4, 5), captured.err
+    return code, captured
+
+
+@pytest.mark.parametrize("command", sorted(DEEP_COMMANDS))
+def test_deep_but_parseable_spec_never_escapes_as_an_exception(tmp_path, capsys, command):
+    code, captured = _run_deep(tmp_path, capsys, command, 450)
+    assert code == 0, captured.err
+    rows, wrappers = (3, 451) if command == "noise_line" else (1, 450)  # three noisier rows
+    assert captured.out.count("white_noise_mix") == rows * wrappers
+    # the deepest chain the parser accepts, found by bisection on the exit code
+    lo, hi = 450, 1000
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if _run_deep(tmp_path, capsys, command, mid)[0] != 2 else (lo, mid)
+    code, captured = _run_deep(tmp_path, capsys, command, lo)
+    assert code == 0, captured.err
+    code, captured = _run_deep(tmp_path, capsys, command, lo + 1)
     assert json.loads(captured.err)["error"]["type"] == "SpecError"
 
 

@@ -14,6 +14,24 @@ def test_collective_matches_reference(axis, n):
     assert np.array_equal(collective.collective_j(axis, n), helpers.collective_op(axis, n))
 
 
+@pytest.mark.parametrize("axis", ["x", "y"])
+@pytest.mark.parametrize("n", range(1, 11))
+def test_collective_square_is_the_matmul_bit_for_bit(axis, n):
+    j = collective.collective_j(axis, n)
+    square = collective.collective_square(axis, n)
+    assert square.tobytes() == (j @ j).tobytes()  # signed zeros included
+    if n <= 6:
+        ref = helpers.collective_op(axis, n)
+        assert np.array_equal(square, ref @ ref)
+
+
+def test_collective_square_takes_only_the_transverse_axes():
+    with pytest.raises(ValidationError):
+        collective.collective_square("z", 3)
+    with pytest.raises(DimensionCapError):
+        collective.collective_square("x", 13)
+
+
 def test_collective_x_spectrum_three_qubits():
     vals = np.linalg.eigvalsh(collective.collective_j("x", 3))
     np.testing.assert_allclose(vals, [-1.5, -0.5, -0.5, -0.5, 0.5, 0.5, 0.5, 1.5],

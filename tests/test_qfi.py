@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from spinqfi import collective, qfi, states
+from spinqfi import collective, interferometer, qfi, states
 from spinqfi.errors import NumericalError
 
 import helpers
@@ -210,3 +211,51 @@ def test_average_qfi_matches_direction_monte_carlo():
     qmat = qfi.qfi_matrix(st)
     draws = [qmat.direction(helpers.random_direction(rng)) for _ in range(2000)]
     assert np.mean(draws) == pytest.approx(qmat.trace / 3.0, rel=0.05)
+
+
+# ------------------------------------------------------------ collective moments
+
+def _hex(values):
+    return [float.hex(float(v)) for v in values]
+
+
+def _assert_moments_bitwise(state):
+    ops = collective.collective_all(state.n_qubits)
+    assert _hex(qfi.collective_variances(state)) == _hex(qfi.variance(state, j) for j in ops)
+
+
+def _evolved_dense():
+    rho = helpers.ginibre_mixed(4, np.random.default_rng(41), rank=3)
+    setting = interferometer.PhaseSetting(0.3, (0.6, 0.0, 0.8))
+    return interferometer.evolve(states.from_matrix(rho, 4), setting)
+
+
+MOMENT_STATES = {
+    "ghz": lambda: states.ghz(9, "x"),
+    "dicke": lambda: states.dicke(8, 3, "y"),
+    "product_bloch": lambda: states.product_bloch((0.6, 0.0, 0.8), 6),
+    "even_parity": lambda: states.even_parity([0.6, 0.48j, 0.64], 8),
+    "dicke_superposition": lambda: states.dicke_superposition([0.2 + 1j, -0.4, 0.9 - 0.3j], 8),
+    "excited_dicke": lambda: states.excited_dicke(8, "x"),
+    "completely_mixed": lambda: states.completely_mixed(7),
+    "white_noise_mix": lambda: states.white_noise_mix(states.dicke(10, 5, "x"), 0.7),
+    "raw_matrix": lambda: states.from_matrix(
+        helpers.ginibre_mixed(5, np.random.default_rng(40), rank=6), 5),
+    "mix": lambda: states.mix([states.ghz(6, "y"), states.dicke(6, 2, "z")], [0.3, 0.7]),
+    "evolved_dense": _evolved_dense,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MOMENT_STATES))
+def test_collective_variances_equal_variance_bit_for_bit(kind):
+    _assert_moments_bitwise(MOMENT_STATES[kind]())
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(n=st.integers(1, 6), rank=st.integers(1, 64), seed=st.integers(0, 2 ** 32 - 1))
+def test_collective_variances_bitwise_on_random_mixed_states(n, rank, seed):
+    rho = helpers.ginibre_mixed(n, np.random.default_rng(seed), rank=min(rank, 2 ** n))
+    state = wrap(rho, n)
+    _assert_moments_bitwise(state)
+    ref = [helpers.variance_reference(rho, helpers.collective_op(axis, n)) for axis in "xyz"]
+    np.testing.assert_allclose(qfi.collective_variances(state), ref, atol=1e-10)

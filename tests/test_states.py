@@ -356,6 +356,34 @@ def test_provenance_specs_round_trip():
         assert states.StateSpec.from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
 
 
+def test_noise_chain_label_and_document():
+    spec = states.StateSpec("white_noise_mix", 3, p=0.5, inner=states.StateSpec(
+        "white_noise_mix", p=0.25, inner=states.StateSpec("dicke", 3, "x", m=1)))
+    assert spec.label() == ("white_noise_mix n=3 p=0.5 inner=(white_noise_mix p=0.25 "
+                            "inner=(dicke n=3 basis=x m=1))")
+    assert json.dumps(spec.to_dict()) == (
+        '{"kind": "white_noise_mix", "n_qubits": 3, "p": 0.5, "inner": {"kind": '
+        '"white_noise_mix", "p": 0.25, "inner": {"kind": "dicke", "n_qubits": 3, '
+        '"basis": "x", "m": 1}}}')
+
+
+def test_spec_chains_are_walked_without_recursion():
+    levels = 5000  # far past the interpreter's recursion limit
+    spec = states.StateSpec("ghz", 2)
+    for _ in range(levels):
+        spec = states.StateSpec("white_noise_mix", p=0.5, inner=spec)
+    label = spec.label()
+    assert label.count("inner=(") == levels and label.endswith(")" * levels)
+    doc, depth = spec.to_dict(), 0
+    while doc["kind"] == "white_noise_mix":
+        doc, depth = doc["inner"], depth + 1
+    assert (doc, depth) == ({"kind": "ghz", "n_qubits": 2, "basis": "z"}, levels)
+    state = states.from_spec(spec)
+    for _ in range(levels):
+        state = state.noise[0]
+    assert state.is_pure and state.n_qubits == 2
+
+
 def test_readme_spec_examples_parse_and_build():
     readme = (Path(__file__).parent.parent / "README.md").read_text()
     block = readme.split("State spec files are JSON documents")[1]
