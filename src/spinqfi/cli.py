@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from functools import lru_cache
@@ -126,6 +127,15 @@ def dumps(obj, indent: int = 0) -> str:
     raise ValidationError(f"cannot serialize {type(obj).__name__}")
 
 
+def _check_out(out_path) -> None:
+    """Reject an --out that names a directory or sits in a missing one, before
+    any state is built; _emit maps any other OSError when it writes."""
+    if out_path and (os.path.isdir(out_path)
+                     or not os.path.isdir(os.path.dirname(out_path) or ".")):
+        raise ValidationError(f"cannot write output file {out_path}: "
+                              "it is a directory or its directory does not exist")
+
+
 def _emit(text: str, out_path) -> None:
     if not out_path:
         sys.stdout.write(text)
@@ -216,7 +226,9 @@ def depth_document(spec: StateSpec, cfg: AnalysisConfig) -> dict:
 
 def cmd_analyze(args) -> int:
     cfg = load_config(args)
-    docs = [args.document(load_spec_file(path), cfg) for path in args.spec]
+    specs = [load_spec_file(path) for path in args.spec]
+    _check_out(args.out)
+    docs = [args.document(spec, cfg) for spec in specs]
     top = docs[0] if len(docs) == 1 else {"reports": docs}
     _emit(dumps(top) + "\n", args.out)
     return 0
@@ -227,6 +239,9 @@ def cmd_landscape(args) -> int:
     n = args.n_qubits
     if args.family in ("dicke_plane", "product_fill"):
         check_qubits(n, cfg.dimension_cap)
+    if args.family == "noise_line":
+        spec = load_spec_file(args.spec) if args.spec else StateSpec("ghz", n, "z")
+    _check_out(args.out)
     rows = []
     if args.family == "landmarks":
         for name, point in landscape.landmark_points(n).items():
@@ -238,7 +253,6 @@ def cmd_landscape(args) -> int:
         for point in landscape.sample_product_polytope(n, args.count, cfg.seed):
             rows.append((point.p, point.provenance.label()))
     elif args.family == "noise_line":
-        spec = load_spec_file(args.spec) if args.spec else StateSpec("ghz", n, "z")
         base = states.from_spec(spec, cap=cfg.dimension_cap)
         if base.n_qubits != n:
             raise ValidationError(f"--n-qubits {n} differs from the spec's {base.n_qubits}")
@@ -288,6 +302,7 @@ def _parse_direction(text: str) -> np.ndarray:
 def cmd_crb(args) -> int:
     cfg = load_config(args)
     spec = load_spec_file(args.spec)
+    _check_out(args.out)
     state = states.from_spec(spec, cap=cfg.dimension_cap)
     direction = _parse_direction(args.direction)
     setting = interferometer.PhaseSetting(args.theta, tuple(direction))

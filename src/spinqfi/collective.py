@@ -8,6 +8,7 @@ read-only and must not be mutated by callers.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Optional
 
 import numpy as np
 
@@ -70,27 +71,28 @@ def collective_j(axis: str, n_qubits: int) -> np.ndarray:
     return _collective_cached(axis, n_qubits)
 
 
-def collective_square(axis: str, n_qubits: int) -> np.ndarray:
-    """J_axis @ J_axis for axis x or y, written from the index bits, uncached.
+def collective_square(axis: str, n_qubits: int, lo: int = 0, hi: Optional[int] = None) -> np.ndarray:
+    """Columns lo:hi (default all) of J_axis @ J_axis for axis x or y, written
+    from the index bits, uncached.
 
     J_a^2 = N/4 + (1/2) sum_{s<t} sigma_a^(s) sigma_a^(t). For y the pair term
-    at (i, i XOR (2^s | 2^t)) is -1/2 where bits s and t of i agree and +1/2
+    at (i XOR (2^s | 2^t), i) is -1/2 where bits s and t of i agree and +1/2
     where they differ. Every entry of the matmul sums multiples of 1/4 exactly,
     so it holds these same bits, +0.0 zeros included."""
     if axis not in ("x", "y"):
         raise ValidationError(f"axis must be 'x' or 'y', got {axis!r}")
     check_qubits(n_qubits)
     dim = 2 ** n_qubits
-    idx = np.arange(dim)
-    out = np.zeros((dim, dim), dtype=complex)
-    out.real[idx, idx] = n_qubits / 4
-    for t in range(n_qubits):
-        for s in range(t):
-            flipped = idx ^ (1 << s | 1 << t)
-            if axis == "x":
-                out.real[idx, flipped] = 0.5
-            else:
-                out.real[idx, flipped] = np.where((idx >> s ^ idx >> t) & 1, 0.5, -0.5)
+    cols = np.arange(lo, dim if hi is None else hi)
+    at = np.arange(cols.size)
+    out = np.zeros((dim, cols.size), dtype=complex)
+    out.real[cols, at] = n_qubits / 4
+    s, t = (b[:, None] for b in np.triu_indices(n_qubits, 1))  # one row per pair s < t
+    flipped = cols ^ (1 << s | 1 << t)
+    if axis == "x":
+        out.real[flipped, at] = 0.5
+    else:
+        out.real[flipped, at] = np.where((cols >> s ^ cols >> t) & 1, 0.5, -0.5)
     return out
 
 

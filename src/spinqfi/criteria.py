@@ -12,7 +12,9 @@ Bound families
 * >= M unentangled:      sum_l F_Q <= M + (N-M)(N-M+2)
 * variance floor:        separable states keep sum_l (Delta J_l)^2 >= N/2,
                          so dropping below the floor flags entanglement; the
-                         sum is qfi.collective_variances, four dense products
+                         sum is qfi.collective_variances, which reads the
+                         diagonals of rho J and rho J^2 (blocks of rows for a
+                         pure state, four dense products otherwise)
 
 The spectral forms replace the axis values with the trace and largest
 eigenvalue of the QFI matrix, which makes them invariant under collective

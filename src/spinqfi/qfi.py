@@ -17,8 +17,11 @@ only needs the support eigenvectors:
 with A_i = V^dag J_i V on the support and w_lm = 2 (lam_l - lam_m)^2 /
 (lam_l + lam_m). The second term drops out for full-rank states.
 
-collective_variances gives the variances the criteria's variance floor sums
-from four dense products; `variance` serves any other observable.
+collective_variances gives the variances the criteria's variance floor sums.
+It reads only the diagonals of rho J and rho J^2 for x and y. A pure state
+forms them BLOCK rows at a time, 4 * BLOCK * 4^N multiply-adds with no dense
+rho or J^2; any other state runs four dense products, 4 * 8^N. `variance`
+serves any other observable.
 """
 from __future__ import annotations
 
@@ -32,6 +35,7 @@ from .matcore import require_hermitian
 from .states import QuantumState
 
 EPS_RANK = 1e-12
+BLOCK = 32  # rows per diagonal block of the pure-state moments
 CLAMP = 1e-10
 
 
@@ -138,18 +142,33 @@ def variance(state: QuantumState, a) -> float:
 
 def collective_variances(state: QuantumState) -> tuple:
     """((Delta J_x)^2, (Delta J_y)^2, (Delta J_z)^2), bit for bit what
-    `variance` gives for each cached J, from four dense products.
+    `variance` gives for each cached J.
 
-    J_z is diagonal, so (rho J_z)_ii is rho_ii jz_i rounded once, and numpy
-    sums the diagonal in the same order as the trace."""
-    n, rho = state.n_qubits, state.rho
+    Only the diagonals of rho J_a and rho J_a^2 are formed. A pure state
+    takes BLOCK rows psi[lo:hi] psi^dag at a time against columns lo:hi of
+    J_a and J_a^2; OpenBLAS sums each entry over all 2^N terms in the same
+    order whatever the other two sizes, so the bits are the full product's.
+    Any other state is one block, rho itself. J_z is diagonal, so
+    (rho J_z)_ii is rho_ii jz_i rounded once, and numpy sums a diagonal in
+    the same order as the trace."""
+    n, dim = state.n_qubits, state.dim
+    psi = state.vector
+    step, bra = (dim, None) if psi is None else (BLOCK, psi.conj())
+    parts = []
+    for lo in range(0, dim, step):
+        hi = min(lo + step, dim)
+        rows = state.rho if psi is None else np.outer(psi[lo:hi], bra)
+        part = [np.diagonal(rows[:, lo:hi]).copy()]  # a view would keep rows alive
+        for axis, j in zip("xy", collective_all(n)):
+            for op in (j[:, lo:hi], collective_square(axis, n, lo, hi)):
+                part.append(np.diagonal(rows @ op).copy())
+        parts.append(part)
+    diag, *moments = (np.concatenate(p) for p in zip(*parts))
     out = []
-    for axis, j in zip("xy", collective_all(n)):
-        mean = complex(np.trace(rho @ j)).real
-        second = complex(np.trace(rho @ collective_square(axis, n))).real
-        out.append(_clamp_nonneg(second - mean * mean))
-    jz = n / 2 - np.bitwise_count(np.arange(state.dim))
-    diag = np.diagonal(rho)
+    for first, second in (moments[:2], moments[2:]):
+        mean = complex(first.sum()).real
+        out.append(_clamp_nonneg(complex(second.sum()).real - mean * mean))
+    jz = n / 2 - np.bitwise_count(np.arange(dim))
     mean = complex((diag * jz).sum()).real
     second = complex((diag * (jz * jz)).sum()).real
     out.append(_clamp_nonneg(second - mean * mean))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import spinqfi
-from spinqfi import cli, states
+from spinqfi import cli, qfi, states
 from spinqfi.cli import AnalysisConfig, dumps, main
 from spinqfi.errors import DimensionCapError, NumericalError, SpecError, ValidationError
 
@@ -141,6 +141,26 @@ def test_dumps_matches_the_recursive_serializer_on_a_raw_matrix_document():
     doc = cli.analysis_document(spec, AnalysisConfig())
     assert doc["input_spec"]["kind"] == "raw_matrix"
     assert dumps(doc) == _recursive_dumps(doc)
+
+
+def test_analysis_document_leaves_rho_unbuilt_for_a_pure_state(monkeypatch):
+    built, widths = [], []
+    from_spec, square = states.from_spec, qfi.collective_square
+
+    def spy_state(spec, cap):
+        built.append(from_spec(spec, cap=cap))
+        return built[-1]
+
+    def spy_square(*args):
+        out = square(*args)
+        widths.append(out.shape[1])
+        return out
+
+    monkeypatch.setattr(states, "from_spec", spy_state)
+    monkeypatch.setattr(qfi, "collective_square", spy_square)
+    cli.analysis_document(states.StateSpec("ghz", 8, "y"), AnalysisConfig())
+    assert built[0].is_pure and built[0]._rho is None
+    assert widths and max(widths) == qfi.BLOCK < built[0].dim
 
 
 # ------------------------------------------------------------ configuration
@@ -312,16 +332,29 @@ def test_exit_code_validation_error(tmp_path, capsys):
     lambda path: ["depth", path],
     lambda path: ["crb", path],
     lambda path: ["landscape", "landmarks", "--n-qubits", "4"],
-], ids=["analyze", "depth", "crb", "landscape"])
+    lambda path: ["landscape", "noise_line", "--n-qubits", "4", "--spec", path],
+], ids=["analyze", "depth", "crb", "landscape", "noise_line"])
 @pytest.mark.parametrize("target", ["missing-dir", "directory"])
-def test_unwritable_out_is_a_validation_error(tmp_path, capsys, command, target):
+def test_unwritable_out_is_a_validation_error(tmp_path, capsys, monkeypatch, command, target):
+    def never(*args, **kwargs):
+        raise AssertionError("a state was built before --out was checked")
+
     path = write_spec(tmp_path, "ghz4.json", GHZ4)
+    monkeypatch.setattr(states, "from_spec", never)
     out = tmp_path / "missing" / "x.json" if target == "missing-dir" else tmp_path
     assert main(command(path) + ["--out", str(out)]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     error = json.loads(captured.err)["error"]
     assert error["type"] == "ValidationError" and str(out) in error["message"]
+
+
+def test_spec_errors_come_before_the_out_check(tmp_path, capsys):
+    bad = write_spec(tmp_path, "bad.json", {"kind": "teleporter"})
+    out = tmp_path / "missing" / "x.json"
+    for argv in (["analyze", write_spec(tmp_path, "ghz4.json", GHZ4), bad], ["crb", bad]):
+        assert main(argv + ["--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "SpecError"
 
 
 def test_exit_code_dimension_cap(tmp_path, capsys):

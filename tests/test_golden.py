@@ -2,7 +2,8 @@
 
 Each file in golden/specs/ is a state spec; golden/<name>.analyze.json and
 golden/<name>.depth.json hold the CLI's stdout for it. The corpus covers
-every StateSpec kind plus N = 1 and N = 2 edge cases. CRB_CASES runs `crb`
+every StateSpec kind plus N = 1 and N = 2 edge cases, and ghz_n8_y, a pure
+state large enough that its moments run over several row blocks. CRB_CASES runs `crb`
 on some of those specs; golden/<name>.crb-<measurement>-<direction>.json
 holds its stdout (theta 0.1). LANDSCAPE_CASES runs `landscape` with fixed
 seeds; golden/landscape_<case>.csv holds its stdout. `landmarks` stays out of

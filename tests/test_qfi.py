@@ -232,6 +232,8 @@ def _evolved_dense():
 
 MOMENT_STATES = {
     "ghz": lambda: states.ghz(9, "x"),
+    "ghz_y_n10": lambda: states.ghz(10, "y"),  # 32 row blocks of the pure route
+    "dicke_n7": lambda: states.dicke(7, 2, "x"),  # 4 row blocks
     "dicke": lambda: states.dicke(8, 3, "y"),
     "product_bloch": lambda: states.product_bloch((0.6, 0.0, 0.8), 6),
     "even_parity": lambda: states.even_parity([0.6, 0.48j, 0.64], 8),
