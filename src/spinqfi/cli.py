@@ -237,6 +237,8 @@ def cmd_analyze(args) -> int:
 def cmd_landscape(args) -> int:
     cfg = load_config(args)
     n = args.n_qubits
+    if args.count < 1:
+        raise ValidationError(f"--count must be at least 1, got {args.count}")
     if args.family in ("dicke_plane", "product_fill"):
         check_qubits(n, cfg.dimension_cap)
     if args.family == "noise_line":
@@ -252,15 +254,13 @@ def cmd_landscape(args) -> int:
     elif args.family == "product_fill":
         for point in landscape.sample_product_polytope(n, args.count, cfg.seed):
             rows.append((point.p, point.provenance.label()))
-    elif args.family == "noise_line":
+    else:  # noise_line; argparse admits no other family
         base = states.from_spec(spec, cap=cfg.dimension_cap)
         if base.n_qubits != n:
             raise ValidationError(f"--n-qubits {n} differs from the spec's {base.n_qubits}")
         grid = np.linspace(0.0, 1.0, max(2, args.count))
         for entry in landscape.noise_line(base, grid).entries:
             rows.append((entry.measured.p, entry.measured.provenance.label()))
-    else:
-        raise ValidationError(f"unknown landscape family {args.family!r}")
     lines = ["F_x,F_y,F_z,spec_id"]
     for point, label in rows:
         lines.append(",".join(_format_float(float(v)) for v in point) + "," + label)
@@ -268,21 +268,24 @@ def cmd_landscape(args) -> int:
     return 0
 
 
-def _build_measurement(name: str, state, direction, seed: int) -> interferometer.Measurement:
-    if name.startswith("parity-"):
-        axis = name.split("-", 1)[1]
-        return interferometer.Measurement.parity(axis, state.n_qubits)
+def _measurement_builder(name: str, direction, seed: int):
+    """state -> the Measurement a --measurement name picks; an unknown name
+    fails here, before any QFI work."""
+    meas = interferometer.Measurement
+    if name in ("parity-x", "parity-y", "parity-z"):
+        return lambda state: meas.parity(name[-1], state.n_qubits)
     if name == "computational":
-        return interferometer.Measurement.computational(state.n_qubits)
+        return lambda state: meas.computational(state.n_qubits)
     if name == "collective":
-        return interferometer.Measurement.collective(direction, state.n_qubits)
-    if name == "random":
-        rng = np.random.default_rng(seed)
-        dim = state.dim
+        return lambda state: meas.collective(direction, state.n_qubits)
+    if name != "random":
+        raise ValidationError(f"unknown measurement {name!r}")
+
+    def random_basis(state):
+        rng, dim = np.random.default_rng(seed), state.dim
         g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        basis, _ = np.linalg.qr(g)
-        return interferometer.Measurement(np.arange(dim), basis)
-    raise ValidationError(f"unknown measurement {name!r}")
+        return meas(np.arange(dim), np.linalg.qr(g)[0])
+    return random_basis
 
 
 def _parse_direction(text: str) -> np.ndarray:
@@ -306,6 +309,7 @@ def cmd_crb(args) -> int:
     state = states.from_spec(spec, cap=cfg.dimension_cap)
     direction = _parse_direction(args.direction)
     setting = interferometer.PhaseSetting(args.theta, tuple(direction))
+    build_measurement = _measurement_builder(args.measurement, direction, cfg.seed)
     fq = qfi.qfi_direction(state, direction, eps_rank=cfg.eps_rank)
     doc = {
         "tool": {"name": "spinqfi", "version": __version__},
@@ -319,7 +323,7 @@ def cmd_crb(args) -> int:
         doc.update({"fisher_classical": None, "crb": None,
                     "ordering_ok": True, "status": "unbounded-variance"})
     else:
-        meas = _build_measurement(args.measurement, state, direction, cfg.seed)
+        meas = build_measurement(state)
         detail = interferometer.classical_fisher_report(state, setting, meas,
                                                         h=cfg.fd_step)
         fcl = detail["value"]

@@ -23,7 +23,8 @@ single-qubit rotations.
 One table, ladder(N), lists every bound in report order; evaluate_all,
 spectral_criteria and depth_lower_bound all read it. Violating a
 k-producible rung certifies (k+1)-particle entanglement (separable is k = 1),
-so the depth is 1 + the largest violated k and the witness is that row.
+so the depth is 1 + the largest violated k and the witness is that row:
+evaluate_all reads the certificate off the rows it reports.
 """
 from __future__ import annotations
 
@@ -207,36 +208,39 @@ def spectral_criteria(qmat: QfiMatrix, n_qubits: int, k: int,
             for rung in ladder(n) if rung.k in (1, k)]
 
 
-def depth_lower_bound(state: QuantumState, tol: float = TOL_VIOLATION,
-                      qmat: Optional[QfiMatrix] = None) -> DepthCertificate:
-    """Certified entanglement depth: 1 + the largest k of a violated rung.
-
-    The witness is that rung's row; when both forms fire at that k the larger
-    margin wins, and a tie goes to the max-eigenvalue form.
-    """
-    if qmat is None:
-        qmat = qfi_matrix(state)
-    stats = _qfi_statistics(qmat)
+def _certificate(pairs) -> DepthCertificate:
+    """1 + the largest k of a violated (rung, row) pair, witnessed by that row;
+    at that k the larger margin wins, and a tie goes to the max-eigenvalue form."""
     hits = [(rung.k, rep.margin, rung.statistic == "top", rep)
-            for rung in ladder(state.n_qubits) if rung.k > 0
-            for rep in [rung.evaluate(stats[rung.statistic], tol)] if rep.violated]
+            for rung, rep in pairs if rung.k > 0 and rep.violated]
     if not hits:
         return DepthCertificate(1, "none", 0.0)
     k, _, _, rep = max(hits, key=lambda hit: hit[:3])
     return DepthCertificate(k + 1, rep.criterion_id, rep.value)
 
 
-def evaluate_all(state: QuantumState, tol: float = TOL_VIOLATION,
-                 qmat: Optional[QfiMatrix] = None
-                 ) -> Tuple[List[CriterionReport], DepthCertificate]:
-    """Every rung of the ladder, in order, plus the depth certificate."""
+def depth_lower_bound(state: QuantumState, tol: float = TOL_VIOLATION,
+                      qmat: Optional[QfiMatrix] = None) -> DepthCertificate:
+    """Certified entanglement depth from the k > 0 rungs alone, no variance row."""
     if qmat is None:
         qmat = qfi_matrix(state)
     stats = _qfi_statistics(qmat)
+    return _certificate((rung, rung.evaluate(stats[rung.statistic], tol))
+                        for rung in ladder(state.n_qubits) if rung.k > 0)
+
+
+def evaluate_all(state: QuantumState, tol: float = TOL_VIOLATION,
+                 qmat: Optional[QfiMatrix] = None
+                 ) -> Tuple[List[CriterionReport], DepthCertificate]:
+    """Every rung of the ladder, in order, plus the depth certificate read off them."""
+    if qmat is None:
+        qmat = qfi_matrix(state)
+    stats = _qfi_statistics(qmat)
+    rungs = ladder(state.n_qubits)
     reports = [variance_criterion(state, tol) if rung.statistic == "variance"
                else rung.evaluate(stats[rung.statistic], tol)
-               for rung in ladder(state.n_qubits)]
-    return reports, depth_lower_bound(state, tol, qmat)
+               for rung in rungs]
+    return reports, _certificate(zip(rungs, reports))
 
 
 def unentangled_summary(reports: List[CriterionReport]) -> Optional[dict]:

@@ -1,4 +1,5 @@
-"""Phase evolution, classical Fisher information and the Cramer-Rao check.
+"""Phase evolution and classical Fisher information, which `spinqfi crb` checks
+against the quantum Cramer-Rao bound.
 
 The phase map rho -> exp(-i theta J_n) rho exp(+i theta J_n) rotates each
 qubit and a measurement is a basis change plus outcome labels, so no 2^N x 2^N
@@ -20,7 +21,6 @@ import numpy as np
 from .collective import IDENTITY_2, check_axis, check_direction, j_direction
 from .errors import ValidationError
 from .matcore import eigh, herm_exp
-from .qfi import qfi_direction
 from .states import BASIS_ROTATION, QuantumState, _pure_state, _with_noise, apply_local_unitary
 
 FD_STEP = 1e-4
@@ -160,11 +160,3 @@ def classical_fisher(state: QuantumState, setting: PhaseSetting, meas: Measureme
                      h: float = FD_STEP) -> float:
     return classical_fisher_report(state, setting, meas, h)["value"]
 
-
-def crb_bound(state: QuantumState, n) -> float:
-    """Phase-deviation lower bound 1/sqrt(F_Q); inf when F_Q <= 1e-9, the
-    state being insensitive along n."""
-    fq = qfi_direction(state, n)
-    if fq <= 1e-9:
-        return math.inf
-    return 1.0 / math.sqrt(fq)

@@ -61,14 +61,28 @@ def _coordinates(q) -> np.ndarray:
     return np.asarray(q, dtype=float).reshape(3)
 
 
-def _axis_permutation(point_z: np.ndarray, axis: str) -> np.ndarray:
-    # the basis-l member of each family swaps coordinate l with z
-    q = np.array(point_z, dtype=float)
-    if axis == "x":
-        q[0], q[2] = q[2], q[0]
-    elif axis == "y":
-        q[1], q[2] = q[2], q[1]
-    return q
+def _landmarks(n: int) -> Dict[str, Tuple[StateSpec, np.ndarray]]:
+    """key -> (spec, tabulated point) of the thirteen landmarks, in report order.
+
+    Each family is one row: its along-z point and the spec of its member along
+    an axis; the basis-l member swaps coordinate l with z."""
+    dicke_val = n * (n + 2) / 2.0
+    excited_val = n * n / 2.0 + 0.5  # half a unit above the state's N^2/2; see README
+    along_z = [
+        ("product", (n, n, 0),
+         lambda axis: StateSpec("product_bloch", n, c=tuple(float(a == axis) for a in "xyz"))),
+        ("dicke", (dicke_val, dicke_val, 0), lambda axis: StateSpec("dicke", n, axis, m=n // 2)),
+        ("excited_dicke", (excited_val, excited_val, 0),
+         lambda axis: StateSpec("excited_dicke", n, axis)),
+        ("ghz", (n, n, n * n), lambda axis: StateSpec("ghz", n, axis)),
+    ]
+    table = {"origin": (StateSpec("completely_mixed", n), np.zeros(3))}
+    for family, point_z, spec in along_z:
+        for i, axis in enumerate("xyz"):
+            q = np.array(point_z, dtype=float)
+            q[i], q[2] = q[2], q[i]
+            table[f"{family}_{axis}"] = (spec(axis), q)
+    return table
 
 
 def landmark_points(n_qubits: int) -> Dict[str, FisherPoint]:
@@ -76,34 +90,12 @@ def landmark_points(n_qubits: int) -> Dict[str, FisherPoint]:
     n = int(n_qubits)
     if n < 2 or n % 2 != 0:
         raise ValidationError("landmark_points requires even n_qubits >= 2")
-    dicke_val = n * (n + 2) / 2.0
-    excited_val = n * n / 2.0 + 0.5
-    base = {
-        "product": np.array([float(n), float(n), 0.0]),
-        "dicke": np.array([dicke_val, dicke_val, 0.0]),
-        "excited_dicke": np.array([excited_val, excited_val, 0.0]),
-        "ghz": np.array([float(n), float(n), float(n * n)]),
-    }
-    specs = landmark_specs(n)
-    out = {"origin": FisherPoint(np.zeros(3), provenance=specs["origin"])}
-    for family, point_z in base.items():
-        for axis in ("x", "y", "z"):
-            key = f"{family}_{axis}"
-            out[key] = FisherPoint(_axis_permutation(point_z, axis),
-                                   provenance=specs[key])
-    return out
+    return {key: FisherPoint(point, provenance=spec)
+            for key, (spec, point) in _landmarks(n).items()}
 
 
 def landmark_specs(n_qubits: int) -> Dict[str, StateSpec]:
-    n = int(n_qubits)
-    specs = {"origin": StateSpec("completely_mixed", n)}
-    for axis in ("x", "y", "z"):
-        unit = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0)}[axis]
-        specs[f"product_{axis}"] = StateSpec("product_bloch", n, c=unit)
-        specs[f"dicke_{axis}"] = StateSpec("dicke", n, axis, m=n // 2)
-        specs[f"excited_dicke_{axis}"] = StateSpec("excited_dicke", n, axis)
-        specs[f"ghz_{axis}"] = StateSpec("ghz", n, axis)
-    return specs
+    return {key: spec for key, (spec, _) in _landmarks(int(n_qubits)).items()}
 
 
 def landmark_states(n_qubits: int) -> Dict[str, QuantumState]:

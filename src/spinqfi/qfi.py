@@ -80,7 +80,8 @@ class QfiMatrix:
 
 
 def qfi_matrix(state: QuantumState, eps_rank: float = EPS_RANK) -> QfiMatrix:
-    """Assemble the collective-spin QFI matrix of a state.
+    """Assemble the collective-spin QFI matrix of a state; a diagonal entry
+    above N^2 + 1e-6 is a NumericalError.
 
     The J_i V blocks are kept only for a rank-deficient support, whose
     completeness term reads them."""
@@ -114,16 +115,15 @@ def qfi_matrix(state: QuantumState, eps_rank: float = EPS_RANK) -> QfiMatrix:
     mat = out.real.copy()
     for i in range(3):
         mat[i, i] = _clamp_nonneg(mat[i, i])
+    n2 = float(state.n_qubits ** 2)
+    if np.any(np.diag(mat) > n2 + 1e-6):
+        raise NumericalError(f"Fisher component exceeds N^2 = {n2}: {np.diag(mat)}")
     return QfiMatrix(mat=mat, imag_residue=residue)
 
 
 def fisher_triple(state: QuantumState, eps_rank: float = EPS_RANK) -> np.ndarray:
     """(F_Q[rho, J_x], F_Q[rho, J_y], F_Q[rho, J_z])."""
-    triple = qfi_matrix(state, eps_rank).fisher_triple
-    n2 = float(state.n_qubits ** 2)
-    if np.any(triple > n2 + 1e-6):
-        raise NumericalError(f"Fisher component exceeds N^2 = {n2}: {triple}")
-    return triple
+    return qfi_matrix(state, eps_rank).fisher_triple
 
 
 def qfi_direction(state: QuantumState, n, eps_rank: float = EPS_RANK) -> float:
@@ -173,11 +173,6 @@ def collective_variances(state: QuantumState) -> tuple:
     second = complex((diag * (jz * jz)).sum()).real
     out.append(_clamp_nonneg(second - mean * mean))
     return tuple(out)
-
-
-def average_qfi(state: QuantumState, eps_rank: float = EPS_RANK) -> float:
-    """QFI averaged over uniformly random directions: trace of the matrix / 3."""
-    return qfi_matrix(state, eps_rank).trace / 3.0
 
 
 def skew_information(state: QuantumState, a, eps_rank: float = EPS_RANK) -> float:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .collective import check_direction, j_direction
 from .errors import SpecError, ValidationError
-from .matcore import (DIM_CAP, SpectralDecomposition, check_dim, check_qubits, eigh,
+from .matcore import (DIM_CAP, SpectralDecomposition, check_qubits, eigh,
                       hermiticity_residue, require_hermitian)
 
 # Per-qubit unitaries taking sigma_z eigenvectors to sigma_x / sigma_y ones.
@@ -523,7 +523,7 @@ def from_matrix(matrix, n_qubits: Optional[int] = None) -> QuantumState:
         problems.append("entries must be finite")
     if problems:
         raise ValidationError("invalid density matrix: " + "; ".join(problems))
-    check_dim(dim)
+    check_qubits(n_qubits)
 
     residue = hermiticity_residue(rho)
     if residue > 1e-10:
@@ -579,11 +579,9 @@ def from_spec(spec: StateSpec, cap: int = DIM_CAP) -> QuantumState:
     innermost first for the builds, so its depth is bounded only by parsing."""
     if spec.kind not in KIND_FIELDS:
         raise ValidationError(f"unknown state kind {spec.kind!r}")
-    part = spec
-    while part is not None:
+    for part, _ in spec._chain():
         if part.n_qubits is not None:
             check_qubits(part.n_qubits, cap)
-        part = part.inner
     wrappers = []
     while True:
         if spec.kind not in KIND_FIELDS:

@@ -201,6 +201,17 @@ def test_config_rejects_unknown_keys(tmp_path):
         cli.load_config(ns)
 
 
+def test_config_that_is_not_an_object_is_a_parse_error(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text("[1, 2]")
+    spec = write_spec(tmp_path, "ghz4.json", GHZ4)
+    assert main(["analyze", spec, "--config", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == {
+        "type": "SpecError", "message": "config document must be an object", "exit_code": 2}
+
+
 @pytest.mark.parametrize("doc", [
     {"dimension_cap": 4096.0},
     {"seed": "7"},
@@ -327,6 +338,17 @@ def test_exit_code_validation_error(tmp_path, capsys):
     assert err["error"]["exit_code"] == 3
 
 
+def test_raw_matrix_spec_names_every_shape_problem(tmp_path, capsys):
+    doc = {"kind": "raw_matrix", "n_qubits": 2,
+           "matrix": [[[1.0 / 3 if i == j else 0.0, 0.0] for j in range(3)] for i in range(3)]}
+    assert main(["analyze", write_spec(tmp_path, "raw3.json", doc)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    message = json.loads(captured.err)["error"]["message"]
+    assert "dimension 3 is not a power of 2" in message
+    assert "dimension 3 does not match n_qubits=2" in message
+
+
 @pytest.mark.parametrize("command", [
     lambda path: ["analyze", path],
     lambda path: ["depth", path],
@@ -355,6 +377,17 @@ def test_spec_errors_come_before_the_out_check(tmp_path, capsys):
     for argv in (["analyze", write_spec(tmp_path, "ghz4.json", GHZ4), bad], ["crb", bad]):
         assert main(argv + ["--out", str(out)]) == 2
         assert json.loads(capsys.readouterr().err)["error"]["type"] == "SpecError"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+def test_a_failed_write_is_a_validation_error(tmp_path, capsys):
+    # /dev/full passes the --out check and fails the write, in _emit
+    assert main(["analyze", write_spec(tmp_path, "ghz4.json", GHZ4), "--out", "/dev/full"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error["type"] == "ValidationError"
+    assert error["message"].startswith("cannot write output file /dev/full:")
 
 
 def test_exit_code_dimension_cap(tmp_path, capsys):
@@ -527,6 +560,22 @@ def test_numerical_error_exit_code_attribute():
     assert NumericalError.exit_code == 4
 
 
+@pytest.mark.parametrize("command", [
+    lambda path: ["analyze", path],
+    lambda path: ["depth", path],
+    lambda path: ["crb", path, "--direction", "z"],
+    lambda path: ["landscape", "noise_line", "--n-qubits", "4", "--count", "2", "--spec", path],
+], ids=["analyze", "depth", "crb", "noise_line"])
+def test_every_command_meets_the_n_squared_guard(tmp_path, capsys, monkeypatch, command):
+    doubled = tuple(2.0 * j for j in qfi.collective_all(4))  # quadruples the QFI
+    monkeypatch.setattr(qfi, "collective_all", lambda n: doubled)
+    assert main(command(write_spec(tmp_path, "ghz4.json", GHZ4))) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error["type"] == "NumericalError" and "exceeds N^2 = 16.0" in error["message"]
+
+
 def test_depth_skips_the_criteria_rows(tmp_path, capsys, monkeypatch):
     def unused(*args, **kwargs):
         raise AssertionError("depth evaluated a criteria row")
@@ -586,6 +635,26 @@ def test_landscape_families_honour_the_dimension_cap(capsys, monkeypatch, family
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err)["error"]["type"] == "DimensionCapError"
+
+
+@pytest.mark.parametrize("family", ["landmarks", "dicke_plane", "product_fill", "noise_line"])
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_landscape_count_below_one_is_rejected_before_any_state(capsys, monkeypatch,
+                                                                family, count):
+    _unbuildable(monkeypatch)
+    assert main(["landscape", family, "--n-qubits", "4", "--count", count]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == {
+        "type": "ValidationError", "message": f"--count must be at least 1, got {count}",
+        "exit_code": 3}
+
+
+def test_noise_line_count_of_one_keeps_both_endpoints(capsys):
+    assert main(["landscape", "noise_line", "--n-qubits", "4", "--count", "1"]) == 0
+    rows = capsys.readouterr().out.strip().split("\n")[1:]
+    assert [row.rsplit(",", 1)[1].split(" ")[2] for row in rows] == ["p=0", "p=1"]
+    assert [float(row.split(",")[2]) for row in rows] == pytest.approx([0.0, 16.0], abs=1e-9)
 
 
 def test_noise_line_csv_monotone(capsys):
@@ -687,6 +756,23 @@ def test_crb_checks_theta_before_any_qfi_work(tmp_path, capsys, monkeypatch, doc
     assert captured.out == ""
     assert json.loads(captured.err)["error"] == {
         "type": "ValidationError", "message": "theta must be finite", "exit_code": 3}
+
+
+@pytest.mark.parametrize("doc", [
+    GHZ4, {"kind": "product_bloch", "n_qubits": 4, "c": [0.0, 0.0, 1.0]},
+], ids=["nonzero-qfi", "zero-qfi"])
+@pytest.mark.parametrize("name", ["bogus", "parity-w"])
+def test_crb_rejects_an_unknown_measurement_before_any_qfi_work(tmp_path, capsys, monkeypatch,
+                                                                doc, name):
+    def no_qfi(*args, **kwargs):
+        raise AssertionError("QFI computed before the measurement name was checked")
+    monkeypatch.setattr(qfi, "qfi_matrix", no_qfi)
+    path = write_spec(tmp_path, "state.json", doc)
+    assert main(["crb", path, "--direction", "z", "--measurement", name]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == {
+        "type": "ValidationError", "message": f"unknown measurement {name!r}", "exit_code": 3}
 
 
 @pytest.mark.parametrize("doc, flags, code, error", [

@@ -67,6 +67,8 @@ def test_j_direction_requires_unit_vector():
         collective.j_direction((1.0, 1.0, 1.0), 2)
     with pytest.raises(ValidationError):
         collective.j_direction((0.0, 0.0), 2)
+    with pytest.raises(ValidationError, match="finite"):
+        collective.check_direction((np.nan, 0.0, 1.0))
 
 
 def test_axis_recombination():

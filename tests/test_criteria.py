@@ -88,6 +88,8 @@ def test_bound_argument_validation():
         criteria.bound_kprod_sum(4, 5)
     with pytest.raises(ValidationError):
         criteria.bound_separable_sum(0)
+    with pytest.raises(ValidationError, match="n_qubits >= 2"):
+        criteria.bounds_biseparable(1)
 
 
 # ------------------------------------------------------------ variance floor
@@ -267,6 +269,23 @@ def test_evaluate_all_row_count_and_order():
         "spectral_trace_kprod_k3", "spectral_max_kprod_k3",
     ]
     assert cert.depth_lower_bound == 4
+
+
+@pytest.mark.parametrize("state", [
+    states.ghz(4, "z"), states.dicke(6, 3, "z"), states.completely_mixed(3),
+    states.white_noise_mix(states.ghz(5, "x"), 0.6), states.excited_dicke(6, "y"),
+], ids=["ghz", "dicke", "mixed", "noisy_ghz", "excited_dicke"])
+def test_evaluate_all_reads_the_certificate_off_its_rows(state, monkeypatch):
+    expected = criteria.depth_lower_bound(state)
+
+    def recomputed(*args, **kwargs):
+        raise AssertionError("evaluate_all derived the certificate a second time")
+    monkeypatch.setattr(criteria, "depth_lower_bound", recomputed)
+    reports, cert = criteria.evaluate_all(state)
+    assert cert == expected
+    if cert.witnessing_criterion != "none":
+        row = next(r for r in reports if r.criterion_id == cert.witnessing_criterion)
+        assert row.violated and row.value == cert.witness_value
 
 
 def test_evaluate_all_row_count_six_qubits():

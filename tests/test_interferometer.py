@@ -281,10 +281,3 @@ def test_crb_leaves_rho_unbuilt(p):
     assert 0.0 < fcl <= fq + 1e-6
     assert st._rho is None and inner._rho is None
 
-
-# ------------------------------------------------------------ bound
-
-def test_crb_bound_value_and_insensitive_branch():
-    assert itf.crb_bound(states.ghz(4, "z"), (0.0, 0.0, 1.0)) == pytest.approx(0.25)
-    flat = itf.crb_bound(states.product_bloch((0.0, 0.0, 1.0), 4), (0.0, 0.0, 1.0))
-    assert flat == math.inf

@@ -71,6 +71,9 @@ def test_named_polytope_vertex_sets():
     assert len(prod.vertices) == 4
     bisep = landscape.named_polytope("bisep", 4)
     assert len(bisep.vertices) == 6
+    dicke = landscape.named_polytope("dicke", 4)
+    assert [v.p.tolist() for v in dicke.vertices] == [
+        [0, 0, 0], [0, 12, 12], [12, 0, 12], [12, 12, 0]]
     with pytest.raises(ValidationError):
         landscape.named_polytope("everything", 4)
 

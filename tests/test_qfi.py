@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinqfi import collective, interferometer, qfi, states
-from spinqfi.errors import NumericalError
+from spinqfi.errors import NumericalError, ValidationError
 
 import helpers
 
@@ -183,6 +183,13 @@ def test_four_skew_below_qfi(n):
         assert 4.0 * qfi.skew_information(st, op) <= qfi.qfi_direction(st, d) + 1e-9
 
 
+def test_operator_size_is_checked():
+    st = states.ghz(3)
+    for fn in (qfi.variance, qfi.skew_information):
+        with pytest.raises(ValidationError, match="does not match state dim 8"):
+            fn(st, collective.collective_j("z", 2))
+
+
 # ------------------------------------------------------------ matrix container
 
 def test_matrix_container_symmetrizes_and_freezes():
@@ -200,9 +207,20 @@ def test_direction_output_clamped_to_zero():
     assert q.direction((1.0, 0.0, 0.0)) >= 0.0
 
 
+def test_every_qfi_route_caps_components_at_n_squared(monkeypatch):
+    # doubled generators quadruple the QFI: GHZ_z at N = 4 gets F_z = 64 > N^2
+    doubled = tuple(2.0 * j for j in collective.collective_all(4))
+    monkeypatch.setattr(qfi, "collective_all", lambda n: doubled)
+    st = states.ghz(4, "z")
+    for route in (qfi.qfi_matrix, qfi.fisher_triple,
+                  lambda state: qfi.qfi_direction(state, (1.0, 0.0, 0.0))):
+        with pytest.raises(NumericalError, match="exceeds N\\^2 = 16.0"):
+            route(st)
+
+
 def test_average_qfi_is_third_of_trace():
     st = states.ghz(4, "z")
-    assert qfi.average_qfi(st) == pytest.approx(24.0 / 3.0, abs=1e-9)
+    assert qfi.qfi_matrix(st).trace / 3.0 == pytest.approx(24.0 / 3.0, abs=1e-9)
 
 
 def test_average_qfi_matches_direction_monte_carlo():

@@ -99,6 +99,8 @@ def test_even_parity_validation():
         states.even_parity([1.0], 4)
     with pytest.raises(ValidationError):
         states.even_parity([0.5, 0.5], 4)  # square sum != 1
+    with pytest.raises(ValidationError, match="even number"):
+        states.even_parity([1.0], 3)
 
 
 def test_dicke_superposition_is_normalized_combination():
@@ -199,6 +201,8 @@ def test_mix_builds_convex_combination():
         states.mix([a, b], [0.5, 0.6])
     with pytest.raises(ValidationError):
         states.mix([a, states.ghz(3)], [0.5, 0.5])
+    with pytest.raises(ValidationError, match="matching"):
+        states.mix([a, b], [1.0])
 
 
 def test_pure_spectrum_rank_one_and_orthonormal():
@@ -239,6 +243,30 @@ def test_from_matrix_rejects_negative_eigenvalue():
     with pytest.raises(ValidationError) as err:
         states.from_matrix(bad, 1)
     assert "eigenvalue" in str(err.value)
+
+
+def test_from_matrix_rejects_bad_shapes_and_entries():
+    with pytest.raises(ValidationError, match="square"):
+        states.from_matrix(np.ones((2, 4)) / 2.0)
+    bad = np.eye(2, dtype=complex) / 2.0
+    bad[0, 1] = np.nan
+    with pytest.raises(ValidationError, match="finite"):
+        states.from_matrix(bad)
+
+
+def test_from_matrix_infers_n_qubits_from_the_dimension():
+    st = states.from_matrix(np.eye(8) / 8.0)
+    assert st.n_qubits == 3 and st.spec.n_qubits == 3
+
+
+def test_from_matrix_rejects_a_zero_qubit_matrix():
+    with pytest.raises(ValidationError, match="n_qubits must be positive"):
+        states.from_matrix(np.ones((1, 1)))
+
+
+def test_pure_state_rejects_a_zero_vector():
+    with pytest.raises(ValidationError, match="zero norm"):
+        states._pure_state(np.zeros(4), 2)
 
 
 def every_family_spec():
@@ -309,6 +337,16 @@ def test_white_noise_spec_size_must_match_inner():
                                        "inner": {"kind": "ghz", "n_qubits": 3}})
     with pytest.raises(ValidationError, match="n_qubits=5"):
         states.from_spec(spec)
+
+
+def test_from_spec_caps_only_the_chain_it_builds():
+    # inner is no field of a ghz spec: to_dict and label drop it, and so does the cap
+    spec = states.StateSpec("ghz", 3, "z", inner=states.StateSpec("ghz", 13))
+    assert spec.to_dict() == {"kind": "ghz", "n_qubits": 3, "basis": "z"}
+    assert states.from_spec(spec, cap=2 ** 3).n_qubits == 3
+    noisy = states.StateSpec("white_noise_mix", p=0.5, inner=states.StateSpec("ghz", 13))
+    with pytest.raises(DimensionCapError):
+        states.from_spec(noisy)
 
 
 def test_huge_n_qubits_fails_the_cap_without_forming_the_dimension():
