@@ -445,6 +445,46 @@ def test_cap_fires_before_any_builder_runs(tmp_path, capsys, monkeypatch, comman
     assert json.loads(captured.err)["error"]["type"] == "DimensionCapError"
 
 
+GHZ3 = {"kind": "ghz", "n_qubits": 3}
+
+
+def _noise(**fields):
+    return states.StateSpec.from_dict({"kind": "white_noise_mix", **fields})
+
+
+@pytest.mark.parametrize("spec, code, error, message", [
+    (_noise(inner=GHZ3), 3, "ValidationError", "white_noise_mix spec requires p"),
+    (_noise(n_qubits=3, p=0.5), 3, "ValidationError", "white_noise_mix spec requires inner"),
+    (_noise(n_qubits=4, p=0.5, inner=GHZ3), 3, "ValidationError",
+     "white_noise_mix n_qubits=4 differs from its inner state's 3"),
+    (_noise(p=0.5, inner={**GHZ3, "n_qubits": 5, "basis": "q"}), 5, "DimensionCapError",
+     "dimension 32 exceeds cap 16"),
+    (_noise(n_qubits=4, p=0.5, inner={**GHZ3, "basis": "q"}), 3, "ValidationError",
+     "basis must be one of ('x', 'y', 'z'), got 'q'"),
+    (_noise(p=1.5, inner={"kind": "dicke", "n_qubits": 3}), 3, "ValidationError",
+     "dicke spec requires m"),
+    (states.StateSpec("product_bloch"), 3, "ValidationError",
+     "product_bloch spec requires c, n_qubits"),
+    (states.StateSpec("ghz", 3, inner=states.StateSpec("ghz", 13)), 0, None, None),
+], ids=["noise-missing-p", "noise-missing-inner", "noise-size-mismatch",
+        "cap-before-leaf-basis", "leaf-basis-before-mismatch", "missing-m-before-bad-p",
+        "product-bloch-missing-both", "ghz-ignores-inner"])
+@pytest.mark.parametrize("command", ["analyze", "depth"])
+def test_spec_errors_keep_their_order(capsys, monkeypatch, command, spec, code, error, message):
+    # Order: the cap on every n_qubits, then each level's kind and missing
+    # fields outermost first, then the builds innermost first. The spec is
+    # handed over as parsed, since no file can give a ghz spec an inner field.
+    monkeypatch.setattr(cli, "load_spec_file", lambda path: spec)
+    assert main([command, "state.json", "--max-qubits", "4"]) == code
+    captured = capsys.readouterr()
+    if code == 0:
+        assert json.loads(captured.out)["input_spec"] == {**GHZ3, "basis": "z"}
+        return
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == {
+        "type": error, "message": message, "exit_code": code}
+
+
 def _noise_chain(levels):
     # json.dumps itself recurses, so the document is written level by level
     text = '{"kind": "ghz", "n_qubits": 2}'

@@ -89,3 +89,14 @@ def test_recorder_counts_the_points_of_a_landscape_call(tracing, capsys, argv):
     metrics = tracing.layer_metrics(rec.spans)
     rows = out.strip().split("\n")[1:]
     assert metrics["landscape.points"] == len(rows) == {"landmarks": 13, "noise_line": 5}[argv[1]]
+
+
+def test_recorder_sees_each_level_of_a_noise_chain_built_once(tmp_path, tracing, capsys):
+    spec = tmp_path / "chain.json"
+    spec.write_text(json.dumps({"kind": "white_noise_mix", "p": 0.9, "inner": {
+        "kind": "white_noise_mix", "p": 0.8, "inner": {
+            "kind": "dicke", "n_qubits": 4, "m": 2, "basis": "x"}}}))
+    rec, _ = _traced(tracing, ["analyze", str(spec)], capsys)
+    names = [span[0] for span in rec.spans]
+    assert names.count("from_spec") == 1
+    assert names.count("white_noise_mix") == 2 and names.count("dicke") == 1
