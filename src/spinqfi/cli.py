@@ -234,11 +234,16 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+MAX_COUNT = 10 ** 6  # landscape rows are held in memory until output
+
+
 def cmd_landscape(args) -> int:
     cfg = load_config(args)
     n = args.n_qubits
     if args.count < 1:
         raise ValidationError(f"--count must be at least 1, got {args.count}")
+    if args.count > MAX_COUNT:
+        raise ValidationError(f"--count must be at most {MAX_COUNT}, got {args.count}")
     if args.family in ("dicke_plane", "product_fill"):
         check_qubits(n, cfg.dimension_cap)
     if args.family == "noise_line":
@@ -249,17 +254,18 @@ def cmd_landscape(args) -> int:
         for name, point in landscape.landmark_points(n).items():
             rows.append((point.p, name))
     elif args.family == "dicke_plane":
-        for point in landscape.sample_dicke_plane(n, args.count, cfg.seed):
+        for point in landscape.sample_dicke_plane(n, args.count, cfg.seed, cfg.eps_rank):
             rows.append((point.p, point.provenance.label()))
     elif args.family == "product_fill":
-        for point in landscape.sample_product_polytope(n, args.count, cfg.seed):
+        for point in landscape.sample_product_polytope(n, args.count, cfg.seed,
+                                                        cfg.eps_rank):
             rows.append((point.p, point.provenance.label()))
     else:  # noise_line; argparse admits no other family
         base = states.from_spec(spec, cap=cfg.dimension_cap)
         if base.n_qubits != n:
             raise ValidationError(f"--n-qubits {n} differs from the spec's {base.n_qubits}")
         grid = np.linspace(0.0, 1.0, max(2, args.count))
-        for entry in landscape.noise_line(base, grid).entries:
+        for entry in landscape.noise_line(base, grid, cfg.eps_rank).entries:
             rows.append((entry.measured.p, entry.measured.provenance.label()))
     lines = ["F_x,F_y,F_z,spec_id"]
     for point, label in rows:

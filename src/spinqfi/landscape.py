@@ -21,9 +21,10 @@ from . import states
 from .collective import collective_j
 from .errors import NumericalError, ValidationError
 from .qfi import fisher_triple, qfi_matrix
-from .states import QuantumState, StateSpec
+from .states import EPS_RANK, QuantumState, StateSpec
 
 MEMBERSHIP_TOL = 1e-8
+MAX_STARTS = 60  # alpha_for_point's multistart budget
 
 
 @dataclass(frozen=True)
@@ -36,6 +37,8 @@ class FisherPoint:
 
     def __post_init__(self):
         p = np.asarray(self.p, dtype=float).reshape(3)
+        if not np.all(np.isfinite(p)):
+            raise ValidationError(f"Fisher components must be finite, got {p}")
         if np.any(p < -1e-9):
             raise ValidationError(f"Fisher components must be nonnegative, got {p}")
         p.setflags(write=False)
@@ -65,16 +68,18 @@ def _landmarks(n: int) -> Dict[str, Tuple[StateSpec, np.ndarray]]:
     """key -> (spec, tabulated point) of the thirteen landmarks, in report order.
 
     Each family is one row: its along-z point and the spec of its member along
-    an axis; the basis-l member swaps coordinate l with z."""
-    dicke_val = n * (n + 2) / 2.0
-    excited_val = n * n / 2.0 + 0.5  # half a unit above the state's N^2/2; see README
+    an axis; the basis-l member swaps coordinate l with z. The coordinates are
+    floats, inf for an N too large for one (float(n) itself fails from 2^1024)."""
+    f = float(n) if n.bit_length() < 1024 else math.inf
+    dicke_val = f * (f + 2) / 2.0
+    excited_val = f * f / 2.0 + 0.5  # half a unit above the state's N^2/2; see README
     along_z = [
-        ("product", (n, n, 0),
+        ("product", (f, f, 0),
          lambda axis: StateSpec("product_bloch", n, c=tuple(float(a == axis) for a in "xyz"))),
         ("dicke", (dicke_val, dicke_val, 0), lambda axis: StateSpec("dicke", n, axis, m=n // 2)),
         ("excited_dicke", (excited_val, excited_val, 0),
          lambda axis: StateSpec("excited_dicke", n, axis)),
-        ("ghz", (n, n, n * n), lambda axis: StateSpec("ghz", n, axis)),
+        ("ghz", (f, f, f * f), lambda axis: StateSpec("ghz", n, axis)),
     ]
     table = {"origin": (StateSpec("completely_mixed", n), np.zeros(3))}
     for family, point_z, spec in along_z:
@@ -226,7 +231,8 @@ def realize_product_point(q, n_qubits: int) -> QuantumState:
                             lambda point: product_state_for_point(point, n_qubits))
 
 
-def sample_product_polytope(n_qubits: int, count: int, seed: int) -> List[FisherPoint]:
+def sample_product_polytope(n_qubits: int, count: int, seed: int,
+                            eps_rank: float = EPS_RANK) -> List[FisherPoint]:
     """Random interior points of the product polytope with realizing states."""
     rng = np.random.default_rng(seed)
     pts = landmark_points(n_qubits)
@@ -237,11 +243,12 @@ def sample_product_polytope(n_qubits: int, count: int, seed: int) -> List[Fisher
         w = rng.dirichlet(np.ones(4))
         target = w @ verts
         state = realize_product_point(target, n_qubits)
-        out.append(FisherPoint(fisher_triple(state), provenance=state.spec))
+        out.append(FisherPoint(fisher_triple(state, eps_rank), provenance=state.spec))
     return out
 
 
-def sample_dicke_plane(n_qubits: int, count: int, seed: int) -> List[FisherPoint]:
+def sample_dicke_plane(n_qubits: int, count: int, seed: int,
+                       eps_rank: float = EPS_RANK) -> List[FisherPoint]:
     """Random balanced-Dicke superpositions, amplitudes drawn with uniform
     modulus and phase; every triple lands on the plane sum F = N(N+2).
     Deterministic under the seed."""
@@ -257,7 +264,7 @@ def sample_dicke_plane(n_qubits: int, count: int, seed: int) -> List[FisherPoint
         if np.max(modulus) < 1e-6:
             alpha = np.array([1.0, 0.0, 0.0], dtype=complex)
         state = states.dicke_superposition(alpha, n)
-        out.append(FisherPoint(fisher_triple(state), provenance=state.spec))
+        out.append(FisherPoint(fisher_triple(state, eps_rank), provenance=state.spec))
     return out
 
 
@@ -275,15 +282,16 @@ class NoiseLineResult:
     max_residual: float
 
 
-def noise_line(state: QuantumState, p_grid: Sequence[float]) -> NoiseLineResult:
+def noise_line(state: QuantumState, p_grid: Sequence[float],
+               eps_rank: float = EPS_RANK) -> NoiseLineResult:
     """Direct QFI matrix along the white-noise line against the pure-state
     scaling prediction; residuals are exact only for pure input."""
-    base = qfi_matrix(state).mat
+    base = qfi_matrix(state, eps_rank).mat
     entries = []
     worst = 0.0
     for p in p_grid:
         mixed = states.white_noise_mix(state, float(p))
-        direct = qfi_matrix(mixed).mat
+        direct = qfi_matrix(mixed, eps_rank).mat
         predicted = noise_scale(float(p), state.n_qubits) * base
         residual = float(np.max(np.abs(direct - predicted)))
         worst = max(worst, residual)
@@ -356,12 +364,13 @@ def closed_form_check(alpha, n_qubits: int) -> ClosedFormReport:
                             max_offdiagonal=off)
 
 
-def alpha_for_point(q, n_qubits: int, seed: int = 0, max_starts: int = 60) -> np.ndarray:
+def alpha_for_point(q, n_qubits: int, seed: int = 0) -> np.ndarray:
     """Invert the closed form: amplitudes whose superposition reproduces an
     interior point of the Dicke-plane triangle.
 
     Numeric least squares over real and imaginary parts with seeded
-    multistart; accepted when the realized triple matches within 1e-6.
+    multistart (MAX_STARTS starts); accepted when the realized triple
+    matches within 1e-6.
     Boundary points with a vanishing component are out of reach for this
     family (the cross term cannot cancel the diagonal one) and raise
     NumericalError after the multistart budget.
@@ -389,7 +398,7 @@ def alpha_for_point(q, n_qubits: int, seed: int = 0, max_starts: int = 60) -> np
 
     rng = np.random.default_rng(seed)
     starts = [np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0]) / math.sqrt(3)]
-    starts += [rng.uniform(-1, 1, 6) for _ in range(max_starts - 1)]
+    starts += [rng.uniform(-1, 1, 6) for _ in range(MAX_STARTS - 1)]
     for x0 in starts:
         sol = least_squares(objective, x0, xtol=1e-15, ftol=1e-15, gtol=1e-15)
         a = sol.x[:3] + 1j * sol.x[3:]

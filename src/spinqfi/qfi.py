@@ -32,9 +32,8 @@ import numpy as np
 from .collective import check_direction, collective_all, collective_square
 from .errors import NumericalError, ValidationError
 from .matcore import require_hermitian
-from .states import QuantumState
+from .states import EPS_RANK, QuantumState
 
-EPS_RANK = 1e-12
 BLOCK = 32  # rows per diagonal block of the pure-state moments
 CLAMP = 1e-10
 

@@ -32,23 +32,7 @@ BASIS_ROTATION = {
     "x": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
     "y": np.array([[1, 1], [1j, -1j]], dtype=complex) / np.sqrt(2),
 }
-
-
-# kind -> the StateSpec fields its builder takes (see builder). Every other
-# field of a spec of that kind is rejected on input and left out of its
-# document and label, which list fields in StateSpec field order.
-KIND_FIELDS = {
-    "ghz": ("n_qubits", "basis"),
-    "dicke": ("n_qubits", "basis", "m"),
-    "product_bloch": ("n_qubits", "c"),
-    "even_parity": ("n_qubits", "coeffs"),
-    "dicke_superposition": ("n_qubits", "alpha"),
-    "excited_dicke": ("n_qubits", "basis"),
-    "completely_mixed": ("n_qubits",),
-    "white_noise_mix": ("n_qubits", "p", "inner"),
-    "raw_matrix": ("n_qubits", "matrix"),
-}
-KNOWN_KINDS = frozenset(KIND_FIELDS)
+EPS_RANK = 1e-12  # the rank cutoff: eigenvalues at or below it count as zero
 
 
 def _expect(ok: bool, what: str, value) -> None:
@@ -139,20 +123,16 @@ class StateSpec:
     inner: Optional["StateSpec"] = None
     matrix: Optional[tuple] = None
 
-    def _kind_fields(self):
-        """(name, value) of the kind's fields that are not None, in field order."""
-        taken = KIND_FIELDS.get(self.kind, ())
-        return [(f.name, getattr(self, f.name)) for f in fields(self)
-                if f.name in taken and getattr(self, f.name) is not None]
-
     def _chain(self):
         """This spec and its inner specs, outermost first, each with the
-        (name, value) of its kind's fields other than inner."""
+        (name, value) of its kind's fields other than inner that are set, in
+        field order."""
         spec = self
         while spec is not None:
-            named = spec._kind_fields()
-            yield spec, [(name, value) for name, value in named if name != "inner"]
-            spec = dict(named).get("inner")
+            taken = KIND_FIELDS.get(spec.kind, ())
+            yield spec, [(f.name, getattr(spec, f.name)) for f in fields(spec) if f.name in taken
+                         and f.name != "inner" and getattr(spec, f.name) is not None]
+            spec = spec.inner if "inner" in taken else None
 
     def to_dict(self) -> dict:
         root = doc = {}
@@ -259,7 +239,7 @@ class QuantumState:
                     self._spectrum = SpectralDecomposition(values=values, vectors=vectors)
             return self._spectrum
 
-    def support(self, eps: float = 1e-12):
+    def support(self, eps: float = EPS_RANK):
         """Eigenvalues above eps and the matching eigenvector columns.
 
         Eigenvalues at or below eps are treated as exactly zero. A full-rank
@@ -304,9 +284,12 @@ def _pure_spectrum(psi: np.ndarray) -> SpectralDecomposition:
 
 def _pure_state(psi: np.ndarray, n_qubits: int, spec=None) -> QuantumState:
     psi = np.asarray(psi, dtype=complex).reshape(-1)
-    nrm = float(np.linalg.norm(psi))
+    with np.errstate(over="ignore"):  # an overflow is the error raised below
+        nrm = float(np.linalg.norm(psi))
     if nrm <= 0:
         raise ValidationError("state vector has zero norm")
+    if not math.isfinite(nrm):
+        raise ValidationError(f"state vector norm is not finite: {nrm}")
     psi = psi / nrm
     psi.setflags(write=False)
     return QuantumState(None, n_qubits, vector=psi, spec=spec)
@@ -395,7 +378,7 @@ def even_parity(coeffs: Sequence[complex], n_qubits: int) -> QuantumState:
     coeffs = tuple(complex(v) for v in coeffs)
     if len(coeffs) != len(idx):
         raise ValidationError(f"expected {len(idx)} coefficients for indices {idx}, got {len(coeffs)}")
-    total = sum(abs(v) ** 2 for v in coeffs)
+    total = sum(abs(v) * abs(v) for v in coeffs)  # inf, not OverflowError, for huge v
     if abs(total - 1.0) > 1e-10:
         raise ValidationError("even_parity coefficients must have unit square sum")
     v = np.zeros(2 ** n_qubits, dtype=complex)
@@ -469,14 +452,18 @@ def completely_mixed(n_qubits: int) -> QuantumState:
                         spec=StateSpec("completely_mixed", n_qubits))
 
 
-def white_noise_mix(state: QuantumState, p: float) -> QuantumState:
-    """p * state + (1 - p) * identity / 2^N; a mix's weights gain p."""
+def white_noise_mix(inner: QuantumState, p: float, n_qubits: Optional[int] = None) -> QuantumState:
+    """p * inner + (1 - p) * identity / 2^N; a mix's weights gain p. n_qubits
+    is a check, not a setting: when given, it must be inner's."""
+    if n_qubits is not None and n_qubits != inner.n_qubits:
+        raise ValidationError(f"white_noise_mix n_qubits={n_qubits} differs from "
+                              f"its inner state's {inner.n_qubits}")
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"noise weight p={p} out of [0, 1]")
     spec = None
-    if state.spec is not None:
-        spec = StateSpec("white_noise_mix", state.n_qubits, p=float(p), inner=state.spec)
-    base, weights = state.noise or (state, ())
+    if inner.spec is not None:
+        spec = StateSpec("white_noise_mix", inner.n_qubits, p=float(p), inner=inner.spec)
+    base, weights = inner.noise or (inner, ())
     return _with_noise(base, weights + (p,), spec)
 
 
@@ -547,56 +534,57 @@ def from_matrix(matrix, n_qubits: Optional[int] = None) -> QuantumState:
                         herm_residue=residue)
 
 
-def _white_noise(p: float, inner: QuantumState, n_qubits: Optional[int] = None) -> QuantumState:
-    """white_noise_mix of the inner state, which from_spec builds first;
-    n_qubits, when given, must be that state's."""
-    if n_qubits is not None and n_qubits != inner.n_qubits:
-        raise ValidationError(f"white_noise_mix n_qubits={n_qubits} differs from "
-                              f"its inner state's {inner.n_qubits}")
-    return white_noise_mix(inner, p)
-
-
 def _raw_matrix(matrix, n_qubits: int) -> QuantumState:
     """from_matrix, with n_qubits required as every spec but white noise states it."""
     return from_matrix(matrix, n_qubits)
 
 
+# kind -> the name of its constructor, looked up when builder is called, so a
+# constructor rebound on this module (by a profiler, say) is the one called
+_CONSTRUCTORS = {"ghz": "ghz", "dicke": "dicke", "product_bloch": "product_bloch",
+                 "even_parity": "even_parity", "dicke_superposition": "dicke_superposition",
+                 "excited_dicke": "excited_dicke", "completely_mixed": "completely_mixed",
+                 "white_noise_mix": "white_noise_mix", "raw_matrix": "_raw_matrix"}
+
+
 def builder(kind: str):
-    """The constructor from_spec calls for a kind, with the kind's fields as
-    keyword arguments. Names resolve at call time, so a constructor rebound
-    on this module (by a profiler, say) is the one called."""
-    return {"ghz": ghz, "dicke": dicke, "product_bloch": product_bloch,
-            "even_parity": even_parity, "dicke_superposition": dicke_superposition,
-            "excited_dicke": excited_dicke, "completely_mixed": completely_mixed,
-            "white_noise_mix": _white_noise, "raw_matrix": _raw_matrix}[kind]
+    """The constructor from_spec calls for a kind, with its fields as keywords."""
+    return globals()[_CONSTRUCTORS[kind]]
+
+
+# Each kind's fields are read off its constructor's signature: KIND_FIELDS in
+# StateSpec field order (a spec of the kind may set no others), _REQUIRED in
+# signature order.
+_PARAMETERS = {kind: inspect.signature(builder(kind)).parameters for kind in _CONSTRUCTORS}
+KIND_FIELDS = {kind: tuple(f.name for f in fields(StateSpec) if f.name in params)
+               for kind, params in _PARAMETERS.items()}
+_REQUIRED = {kind: [name for name, param in params.items() if param.default is param.empty]
+             for kind, params in _PARAMETERS.items()}
+KNOWN_KINDS = frozenset(KIND_FIELDS)
 
 
 def from_spec(spec: StateSpec, cap: int = DIM_CAP) -> QuantumState:
-    """Construct the state a StateSpec describes, after checking every n_qubits
-    in it and its inner chain against cap: the one place a caller's cap applies.
-
-    The chain is walked in a loop, outermost spec first for the checks and
-    innermost first for the builds, so its depth is bounded only by parsing."""
+    """Construct the state a StateSpec describes: the one place a caller's cap
+    applies. One pass over the chain, outermost spec first, checks the cap on
+    every n_qubits and notes each level's unknown kind or missing fields, the
+    first of which is raised after it; the builds then run innermost first."""
     if spec.kind not in KIND_FIELDS:
         raise ValidationError(f"unknown state kind {spec.kind!r}")
-    for part, _ in spec._chain():
+    levels, problems = [], []
+    for part, named in spec._chain():
         if part.n_qubits is not None:
             check_qubits(part.n_qubits, cap)
-    wrappers = []
-    while True:
-        if spec.kind not in KIND_FIELDS:
-            raise ValidationError(f"unknown state kind {spec.kind!r}")
-        kwargs = dict(spec._kind_fields())
-        params = inspect.signature(builder(spec.kind)).parameters
-        missing = [name for name, param in params.items()
-                   if param.default is param.empty and name not in kwargs]
-        if missing:
-            raise ValidationError(f"{spec.kind} spec requires {', '.join(missing)}")
-        if spec.kind != "white_noise_mix":
-            break
-        wrappers.append(kwargs)
-        spec = kwargs["inner"]
-    state = builder(spec.kind)(**kwargs)
-    for kwargs in reversed(wrappers):
-        state = builder("white_noise_mix")(**dict(kwargs, inner=state))
+        required = _REQUIRED.get(part.kind)
+        if required is None:
+            problems.append(f"unknown state kind {part.kind!r}")
+        elif missing := [name for name in required if getattr(part, name) is None]:
+            problems.append(f"{part.kind} spec requires {', '.join(missing)}")
+        levels.append((part.kind, dict(named)))
+    if problems:
+        raise ValidationError(problems[0])
+    state = None
+    for kind, kwargs in reversed(levels):
+        if state is not None:
+            kwargs["inner"] = state
+        state = builder(kind)(**kwargs)
     return state

@@ -390,6 +390,15 @@ def test_a_failed_write_is_a_validation_error(tmp_path, capsys):
     assert error["message"].startswith("cannot write output file /dev/full:")
 
 
+def test_an_overflowing_state_norm_exits_3(tmp_path, capsys):
+    path = write_spec(tmp_path, "huge.json", {"kind": "dicke_superposition", "n_qubits": 4,
+                                              "alpha": [[1e154, 0], [1e154, 0], [0, 0]]})
+    assert main(["analyze", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"]["type"] == "ValidationError"
+
+
 def test_exit_code_dimension_cap(tmp_path, capsys):
     path = write_spec(tmp_path, "big.json",
                       {"kind": "ghz", "n_qubits": 13, "basis": "z"})
@@ -688,6 +697,39 @@ def test_landscape_count_below_one_is_rejected_before_any_state(capsys, monkeypa
     assert json.loads(captured.err)["error"] == {
         "type": "ValidationError", "message": f"--count must be at least 1, got {count}",
         "exit_code": 3}
+
+
+def test_landscape_count_above_the_ceiling_is_rejected_before_any_state(capsys, monkeypatch):
+    _unbuildable(monkeypatch)
+    count = str(10 ** 13)
+    assert main(["landscape", "noise_line", "--n-qubits", "4", "--count", count]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == {
+        "type": "ValidationError", "message": f"--count must be at most 1000000, got {count}",
+        "exit_code": 3}
+
+
+@pytest.mark.parametrize("exponent", [160, 400])
+def test_landmarks_of_an_overflowing_n_are_a_typed_error(capsys, exponent):
+    assert main(["landscape", "landmarks", "--n-qubits", str(10 ** exponent)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error["type"] == "ValidationError" and "must be finite" in error["message"]
+
+
+def test_landscape_honours_the_config_rank_cutoff(tmp_path, capsys):
+    # white noise at p = 0.5 over GHZ_4: every eigenvalue but one is 1/32,
+    # below a cutoff of 0.1, so the cutoff moves F_x from 16/9 to 17/8
+    config = write_spec(tmp_path, "cfg.json", {"eps_rank": 0.1})
+    noisy = write_spec(tmp_path, "noisy.json", {"kind": "white_noise_mix", "p": 0.5, "inner": GHZ4})
+    assert main(["analyze", noisy, "--config", config]) == 0
+    f_x = json.loads(capsys.readouterr().out)["fisher_triple"][0]
+    assert main(["landscape", "noise_line", "--n-qubits", "4", "--count", "3",
+                 "--config", config]) == 0
+    row = capsys.readouterr().out.split("\n")[2]
+    assert row.split(",")[0] == repr(f_x) == "2.1249999999999996"
 
 
 def test_noise_line_count_of_one_keeps_both_endpoints(capsys):

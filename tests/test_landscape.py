@@ -257,11 +257,12 @@ def test_alpha_inverse_validates_plane():
         landscape.alpha_for_point(np.array([30.0, 20.0, 31.0]), 8)
 
 
-def test_alpha_inverse_cannot_reach_zero_component_boundary():
+def test_alpha_inverse_cannot_reach_zero_component_boundary(monkeypatch):
     # the cross term cannot cancel the diagonal: F_l = 0 forces the other two
     # amplitudes to vanish, so generic boundary points are unreachable
+    monkeypatch.setattr(landscape, "MAX_STARTS", 6)
     with pytest.raises(NumericalError):
-        landscape.alpha_for_point(np.array([64.0, 16.0, 0.0]), 8, max_starts=6)
+        landscape.alpha_for_point(np.array([64.0, 16.0, 0.0]), 8)
 
 
 def test_realize_dicke_point_in_cone():

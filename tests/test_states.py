@@ -269,6 +269,19 @@ def test_pure_state_rejects_a_zero_vector():
         states._pure_state(np.zeros(4), 2)
 
 
+def test_an_overflowing_norm_is_an_error_not_the_zero_state(recwarn):
+    # finite amplitudes whose squared norm overflows: the norm reads inf
+    with pytest.raises(ValidationError, match="norm is not finite"):
+        states.dicke_superposition([1e154, 1e154, 0], 4)
+    assert not recwarn.list  # no numpy overflow warning on the way
+
+
+def test_even_parity_with_huge_coefficients_is_an_error(recwarn):
+    with pytest.raises(ValidationError, match="unit square sum"):
+        states.even_parity([1e200, 0], 4)
+    assert not recwarn.list
+
+
 def every_family_spec():
     rng = np.random.default_rng(23)
     yield states.ghz(4, "y")
@@ -438,8 +451,16 @@ def test_from_spec_missing_fields():
         states.from_spec(states.StateSpec("dicke", 4))
     with pytest.raises(ValidationError):
         states.from_spec(states.StateSpec("ghz"))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="white_noise_mix spec requires inner, p$"):
         states.from_spec(states.StateSpec("white_noise_mix", 4))
+
+
+def test_white_noise_n_qubits_is_a_check_on_the_inner_state():
+    inner = states.ghz(3)
+    assert states.white_noise_mix(inner, 0.5, n_qubits=3).spec == \
+        states.white_noise_mix(inner, 0.5).spec
+    with pytest.raises(ValidationError, match="n_qubits=4 differs"):
+        states.white_noise_mix(inner, 0.5, n_qubits=4)
 
 
 def test_state_matrices_are_read_only():
