@@ -369,8 +369,7 @@ def alpha_for_point(q, n_qubits: int, seed: int = 0) -> np.ndarray:
     interior point of the Dicke-plane triangle.
 
     Numeric least squares over real and imaginary parts with seeded
-    multistart (MAX_STARTS starts); accepted when the realized triple
-    matches within 1e-6.
+    multistart; accepted when the realized triple matches within 1e-6.
     Boundary points with a vanishing component are out of reach for this
     family (the cross term cannot cancel the diagonal one) and raise
     NumericalError after the multistart budget.
