@@ -254,7 +254,7 @@ def cmd_landscape(args) -> int:
         for name, point in landscape.landmark_points(n).items():
             rows.append((point.p, name))
     elif args.family == "dicke_plane":
-        for point in landscape.sample_dicke_plane(n, args.count, cfg.seed, cfg.eps_rank):
+        for point in landscape.sample_dicke_plane(n, args.count, cfg.seed):
             rows.append((point.p, point.provenance.label()))
     elif args.family == "product_fill":
         for point in landscape.sample_product_polytope(n, args.count, cfg.seed,

@@ -247,8 +247,7 @@ def sample_product_polytope(n_qubits: int, count: int, seed: int,
     return out
 
 
-def sample_dicke_plane(n_qubits: int, count: int, seed: int,
-                       eps_rank: float = EPS_RANK) -> List[FisherPoint]:
+def sample_dicke_plane(n_qubits: int, count: int, seed: int) -> List[FisherPoint]:
     """Random balanced-Dicke superpositions, amplitudes drawn with uniform
     modulus and phase; every triple lands on the plane sum F = N(N+2).
     Deterministic under the seed."""
@@ -264,7 +263,7 @@ def sample_dicke_plane(n_qubits: int, count: int, seed: int,
         if np.max(modulus) < 1e-6:
             alpha = np.array([1.0, 0.0, 0.0], dtype=complex)
         state = states.dicke_superposition(alpha, n)
-        out.append(FisherPoint(fisher_triple(state, eps_rank), provenance=state.spec))
+        out.append(FisherPoint(fisher_triple(state), provenance=state.spec))
     return out
 
 

@@ -539,23 +539,23 @@ def _raw_matrix(matrix, n_qubits: int) -> QuantumState:
     return from_matrix(matrix, n_qubits)
 
 
-# kind -> the name of its constructor, looked up when builder is called, so a
-# constructor rebound on this module (by a profiler, say) is the one called
-_CONSTRUCTORS = {"ghz": "ghz", "dicke": "dicke", "product_bloch": "product_bloch",
-                 "even_parity": "even_parity", "dicke_superposition": "dicke_superposition",
-                 "excited_dicke": "excited_dicke", "completely_mixed": "completely_mixed",
-                 "white_noise_mix": "white_noise_mix", "raw_matrix": "_raw_matrix"}
+_KINDS = ("ghz", "dicke", "product_bloch", "even_parity", "dicke_superposition",
+          "excited_dicke", "completely_mixed", "white_noise_mix", "raw_matrix")
 
 
 def builder(kind: str):
-    """The constructor from_spec calls for a kind, with its fields as keywords."""
-    return globals()[_CONSTRUCTORS[kind]]
+    """The constructor from_spec calls for a kind, with its fields as keywords.
+    It is looked up by name when called, so a constructor rebound on this
+    module (by a profiler, say) is the one called."""
+    if kind not in _KINDS:
+        raise KeyError(kind)
+    return globals()["_raw_matrix" if kind == "raw_matrix" else kind]
 
 
 # Each kind's fields are read off its constructor's signature: KIND_FIELDS in
 # StateSpec field order (a spec of the kind may set no others), _REQUIRED in
 # signature order.
-_PARAMETERS = {kind: inspect.signature(builder(kind)).parameters for kind in _CONSTRUCTORS}
+_PARAMETERS = {kind: inspect.signature(builder(kind)).parameters for kind in _KINDS}
 KIND_FIELDS = {kind: tuple(f.name for f in fields(StateSpec) if f.name in params)
                for kind, params in _PARAMETERS.items()}
 _REQUIRED = {kind: [name for name, param in params.items() if param.default is param.empty]

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import spinqfi
-from spinqfi import cli, qfi, states
+from spinqfi import cli, landscape, qfi, states
 from spinqfi.cli import AnalysisConfig, dumps, main
 from spinqfi.errors import DimensionCapError, NumericalError, SpecError, ValidationError
 
@@ -730,6 +730,23 @@ def test_landscape_honours_the_config_rank_cutoff(tmp_path, capsys):
                  "--config", config]) == 0
     row = capsys.readouterr().out.split("\n")[2]
     assert row.split(",")[0] == repr(f_x) == "2.1249999999999996"
+
+
+def test_product_fill_honours_the_config_rank_cutoff_and_dicke_plane_needs_none(tmp_path, capsys):
+    # product_fill realizes its points as white-noise mixes, where the cutoff
+    # drops eigenvalues; dicke_plane states are pure, which no cutoff touches
+    config = write_spec(tmp_path, "cfg.json", {"eps_rank": 0.1})
+
+    def rows(family, *extra):
+        assert main(["landscape", family, "--n-qubits", "4", "--count", "2", *extra]) == 0
+        return capsys.readouterr().out.split("\n")[1:-1]
+
+    cut = rows("product_fill", "--config", config)
+    assert cut != rows("product_fill")
+    expected = [",".join(cli._format_float(float(v)) for v in point.p)
+                for point in landscape.sample_product_polytope(4, 2, seed=0, eps_rank=0.1)]
+    assert [row.split(",white_noise_mix")[0] for row in cut] == expected
+    assert rows("dicke_plane", "--config", config) == rows("dicke_plane")
 
 
 def test_noise_line_count_of_one_keeps_both_endpoints(capsys):
