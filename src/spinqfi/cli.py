@@ -303,9 +303,14 @@ def _parse_direction(text: str) -> np.ndarray:
     except ValueError as exc:
         raise ValidationError(f"direction must be x, y, z or three comma-separated"
                               f" numbers, got {text!r}") from exc
-    if vec.shape != (3,) or not np.all(np.isfinite(vec)) or np.linalg.norm(vec) == 0:
+    if vec.shape != (3,) or not np.all(np.isfinite(vec)) or not vec.any():
         raise ValidationError(f"invalid direction {text!r}")
-    return vec / np.linalg.norm(vec)
+    with np.errstate(over="ignore"):  # an overflow is rescaled below
+        nrm = np.linalg.norm(vec)
+    if nrm == 0 or not math.isfinite(nrm):  # the squares under- or overflowed
+        vec = vec / np.max(np.abs(vec))
+        nrm = np.linalg.norm(vec)
+    return vec / nrm
 
 
 def cmd_crb(args) -> int:

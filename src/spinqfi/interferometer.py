@@ -5,7 +5,9 @@ The phase map rho -> exp(-i theta J_n) rho exp(+i theta J_n) rotates each
 qubit and a measurement is a basis change plus outcome labels, so no 2^N x 2^N
 projector is formed. A pure state is rotated as a vector. A white-noise mix is
 rotated as its base, then each weight p maps rho to p rho + (1 - p) 1/d, since
-1/d is rotation invariant with populations 1/d; no dense rho is built for it.
+1/d is rotation invariant with populations 1/d; no dense rho is built for it,
+and over a pure base its F_Q is the base's scaled (qfi.qfi_direction), so
+`crb` on such a mix costs what the pure base costs.
 Classical Fisher information comes from central finite differences of the
 outcome probabilities; outcomes below a probability floor are excluded
 (their derivative contribution is dropped and counted).

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -839,6 +840,46 @@ def test_crb_rejects_bad_direction(tmp_path, capsys):
     assert main(["crb", path, "--direction", "0,0,0"]) == 3
     assert main(["crb", path, "--direction", "sideways"]) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("direction", ["1e-200,1e-200,0", "1e308,1e308,0"])
+def test_crb_accepts_directions_whose_norm_under_or_overflows(tmp_path, capsys, direction):
+    path = write_spec(tmp_path, "ghz4.json", GHZ4)
+    argv = ["crb", path, "--measurement", "parity-x", "--direction"]
+    assert main(argv + ["1,1,0"]) == 0
+    want = capsys.readouterr().out
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warning fails the test
+        assert main(argv + [direction]) == 0
+    assert capsys.readouterr() == (want, "")
+
+
+def test_crb_on_white_noise_forms_no_spectrum(tmp_path, capsys, monkeypatch):
+    def no_spectrum(*args, **kwargs):
+        raise AssertionError("a spectrum was formed")
+    monkeypatch.setattr(states, "_pure_spectrum", no_spectrum)
+    monkeypatch.setattr(states, "eigh", no_spectrum)
+    inner = {"kind": "ghz", "n_qubits": 5, "basis": "z"}
+    path = write_spec(tmp_path, "noisy.json", {"kind": "white_noise_mix", "p": 0.7, "inner": inner})
+    assert main(["crb", path, "--direction", "z", "--measurement", "parity-x"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["status"] == "ok"
+    assert doc["fisher_quantum"] == pytest.approx(landscape.noise_scale(0.7, 5) * 25.0,
+                                                  rel=1e-13, abs=0.0)
+
+
+def test_crb_honours_the_config_rank_cutoff_on_white_noise(tmp_path, capsys):
+    # p = 0.5 over GHZ_4: the floor 1/32 is at or below 0.1 and is dropped,
+    # leaving the top eigenvalue 17/32 times the pure F_z = 16
+    config = write_spec(tmp_path, "cfg.json", {"eps_rank": 0.1})
+    noisy = {"kind": "white_noise_mix", "p": 0.5, "inner": GHZ4}
+    path = write_spec(tmp_path, "noisy.json", noisy)
+    assert main(["crb", path, "--direction", "z", "--measurement", "parity-x",
+                 "--config", config]) == 0
+    got = json.loads(capsys.readouterr().out)["fisher_quantum"]
+    dense = qfi.qfi_matrix(states.from_spec(states.StateSpec.from_dict(noisy)), 0.1)
+    assert got == pytest.approx(dense.direction((0.0, 0.0, 1.0)), rel=1e-12, abs=0.0)
+    assert got == pytest.approx(8.5, rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("doc", [GHZ4, {"kind": "completely_mixed", "n_qubits": 2}],

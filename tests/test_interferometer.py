@@ -280,4 +280,13 @@ def test_crb_leaves_rho_unbuilt(p):
     fcl = itf.classical_fisher(st, itf.PhaseSetting(0.1, d), itf.Measurement.parity("x", 5))
     assert 0.0 < fcl <= fq + 1e-6
     assert st._rho is None and inner._rho is None
+    assert st._spectrum is None and inner._spectrum is None
+
+
+def test_white_noise_over_a_dense_base_keeps_the_dense_route():
+    base = states.from_matrix(helpers.ginibre_mixed(3, np.random.default_rng(17), rank=2), 3)
+    st = states.white_noise_mix(base, 0.6)
+    d = (0.6, 0.0, 0.8)
+    assert qfi.qfi_direction(st, d) == qfi.qfi_matrix(st).direction(d)
+    assert st._spectrum is not None
 

@@ -1,10 +1,12 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinqfi import collective, interferometer, qfi, states
+from spinqfi import collective, interferometer, landscape, qfi, states
 from spinqfi.errors import NumericalError, ValidationError
 
 import helpers
@@ -84,6 +86,48 @@ def test_direction_interpolates_matrix():
     st = states.dicke(4, 2, "z")
     d = np.array([1.0, 1.0, 0.0]) / math.sqrt(2)
     assert qfi.qfi_direction(st, d) == pytest.approx(12.0, abs=1e-9)
+
+
+# ------------------------------------------------------------ white noise over a pure base
+
+GOLDEN_NOISE = sorted((Path(__file__).parent / "golden" / "specs").glob("white_noise_*.json"))
+PURE_BASES = st.one_of(st.sampled_from(GOLDEN_NOISE), st.integers(1, 6))
+WEIGHT = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+def _pure_base(source, rng):
+    """The pure inner state of a golden white-noise spec, or a Haar-random one
+    on `source` qubits."""
+    if isinstance(source, Path):
+        return states.from_spec(states.StateSpec.from_dict(json.loads(source.read_text()))).noise[0]
+    return states._pure_state(helpers.haar_ket(2 ** source, rng), source)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(source=PURE_BASES, weights=st.lists(WEIGHT, min_size=1, max_size=3),
+       eps=st.sampled_from([1e-12, 0.1, 0.5, 1.0]), seed=st.integers(0, 2 ** 32 - 1))
+def test_white_noise_direction_matches_the_dense_route(source, weights, eps, seed):
+    # eps 0.1 and 0.5 drop the floor (1 - P)/d for some chains and the whole
+    # spectrum for others; 1.0 always drops everything
+    rng = np.random.default_rng(seed)
+    state = _pure_base(source, rng)
+    for p in weights:
+        state = states.white_noise_mix(state, p)
+    d = helpers.random_direction(rng)
+    got = qfi.qfi_direction(state, d, eps)
+    want = qfi.qfi_matrix(state, eps).direction(d)
+    assert abs(got - want) <= 1e-12 * max(1.0, want)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(source=PURE_BASES, p=WEIGHT, seed=st.integers(0, 2 ** 32 - 1))
+def test_white_noise_direction_is_the_closed_form_scale(source, p, seed):
+    rng = np.random.default_rng(seed)
+    base = _pure_base(source, rng)
+    d = helpers.random_direction(rng)
+    want = landscape.noise_scale(p, base.n_qubits) * qfi.qfi_direction(base, d)
+    got = qfi.qfi_direction(states.white_noise_mix(base, p), d)
+    assert abs(got - want) <= 1e-13 * abs(want)
 
 
 # ------------------------------------------------------------ invariants
