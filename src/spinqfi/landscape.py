@@ -1,8 +1,13 @@
 """Geometry of the (F_x, F_y, F_z) landscape.
 
 Landmark coordinates, convex-polytope membership, plane samplers, the
-white-noise scaling line, and the closed-form QFI matrix for superpositions
-of the three balanced Dicke states.
+white-noise scaling line, and the superpositions of the three balanced Dicke
+states. That family has one model, formed once per N (divisible by 4): the
+kets' Gram matrix G and three 3x3 forms M_l, with F_l = a^H M_l a for G-unit
+amplitudes a. The closed form reads it directly; the inverse for a point of
+the triangle of the Dicke landmarks is two exact Toeplitz-Hausdorff chord
+steps on it (Carden, Inverse Problems 25, 115019 (2009)), deterministic and
+without scipy.optimize. Plane points outside that triangle are not inverted.
 
 Landmark keys: "origin" (completely mixed), "product_l" (polarized product
 states), "dicke_l" (balanced Dicke states), "excited_dicke_l" (the
@@ -18,13 +23,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import states
-from .collective import collective_j
+from .collective import collective_all
 from .errors import NumericalError, ValidationError
 from .qfi import fisher_triple, qfi_matrix
 from .states import EPS_RANK, QuantumState, StateSpec
 
 MEMBERSHIP_TOL = 1e-8
-MAX_STARTS = 60  # alpha_for_point's multistart budget
 
 
 @dataclass(frozen=True)
@@ -214,10 +218,12 @@ def noise_weight_for_scale(s: float, n_qubits: int) -> float:
 
 def _realize_in_cone(q, n_qubits: int, plane, polytope: str, plane_state) -> QuantumState:
     """A state for a point q of the cone over the plane sum(F) = plane: plane_state(q / t)
-    mixed with white noise down to the scale t = sum(q) / plane (see noise_scale)."""
+    mixed with white noise down to the scale t = sum(q) / plane (see noise_scale).
+    A point that is not finite, has a negative component or lies beyond the
+    plane is a ValidationError."""
     q = _coordinates(q)
     t = float(q.sum()) / plane
-    if t > 1.0 + 1e-9:
+    if not np.all(np.isfinite(q)) or t > 1.0 + 1e-9 or np.any(q < -1e-9):
         raise ValidationError(f"point {q} lies outside the {polytope} polytope")
     if t <= 1e-15:
         return states.completely_mixed(n_qubits)
@@ -303,33 +309,40 @@ def noise_line(state: QuantumState, p_grid: Sequence[float],
 
 
 @lru_cache(maxsize=8)
-def _closed_form_constants(n_qubits: int) -> Tuple[float, float, float]:
-    """(Q, imaginary residue of Q, pair overlap) for the balanced Dicke kets."""
-    half = n_qubits // 2
-    dx = states._dicke_vector(n_qubits, half, "x")
-    dz = states._dicke_vector(n_qubits, half, "z")
-    jy = collective_j("y", n_qubits)
-    q = complex(dx.conj() @ (jy @ (jy @ dz)))
-    overlap = complex(dx.conj() @ dz)
-    return q.real, abs(q.imag), overlap.real
+def _dicke_plane_model(n_qubits: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(G, M) of the balanced-Dicke family: G = D^H D is the Gram matrix of the
+    kets D = [D_x, D_y, D_z], and M[l] = 4 (J_l D)^H (J_l D). Every member has
+    <J_l> = 0 (D^H J_l D vanishes), so a G-unit amplitude vector a has
+    F_l = 4 <J_l^2> = a^H M_l a. Read-only, formed once per N."""
+    n = int(n_qubits)
+    if n % 4 != 0:
+        raise ValidationError("the Dicke-plane family requires N divisible by 4")
+    kets, gram = states._balanced_dicke_kets(n)
+    moved = [j @ kets for j in collective_all(n)]
+    first = max(float(np.max(np.abs(kets.conj().T @ jd))) for jd in moved)
+    if first > 1e-9:
+        raise NumericalError(f"first moment D^H J D has an entry {first:.3e} above 1e-9")
+    forms = np.array([4.0 * (jd.conj().T @ jd) for jd in moved])
+    forms.setflags(write=False)
+    return gram, forms
+
+
+def _triple_of(forms: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """(a^H M_l a) for l = x, y, z."""
+    return np.einsum("i,lij,j->l", a.conj(), forms, a).real
 
 
 def closed_form_triple(alpha, n_qubits: int) -> np.ndarray:
-    """Diagonal of the QFI matrix for a normalized balanced-Dicke
-    superposition, from the two-term closed form.
+    """Diagonal of the QFI matrix of a balanced-Dicke superposition,
+    F_l = a^H M_l a, read off the family's (G, M) model.
 
-    alpha must be the post-normalization amplitudes; each diagonal entry is
-    (|a_u|^2 + |a_v|^2) N(N+2)/2 + 8 Re(conj(a_u) a_v Q) over the other two
-    axes u, v.
+    alpha must be the post-normalization amplitudes (a^H G a = 1, as
+    states.normalized_amplitudes returns them). Each pair of kets carries its
+    own cross term: for N = 4 (mod 8) the x-z pair has the opposite sign to the
+    other two. N must be divisible by 4 (ValidationError otherwise).
     """
-    alpha = np.asarray(alpha, dtype=complex).reshape(3)
-    q_val, _, _ = _closed_form_constants(n_qubits)
-    k_val = n_qubits * (n_qubits + 2) / 2.0
-    out = np.empty(3)
-    for i, (u, v) in enumerate(((1, 2), (2, 0), (0, 1))):
-        cross = (np.conj(alpha[u]) * alpha[v] * q_val).real
-        out[i] = (abs(alpha[u]) ** 2 + abs(alpha[v]) ** 2) * k_val + 8.0 * cross
-    return out
+    return _triple_of(_dicke_plane_model(n_qubits)[1],
+                      np.asarray(alpha, dtype=complex).reshape(3))
 
 
 @dataclass(frozen=True)
@@ -343,79 +356,89 @@ class ClosedFormReport:
 
 
 def closed_form_check(alpha, n_qubits: int) -> ClosedFormReport:
-    """Closed form against the direct QFI matrix for one superposition."""
+    """Closed form against the direct QFI matrix for one superposition.
+    q_value is <D_x|J_y^2|D_z> = M_y[x, z] / 4."""
     n = int(n_qubits)
-    if n % 4 != 0:
-        raise ValidationError("closed_form_check requires N divisible by 4")
-    q_val, q_imag, _ = _closed_form_constants(n)
-    if q_imag > 1e-9:
-        raise NumericalError(f"overlap matrix element has imaginary part {q_imag:.3e}")
+    forms = _dicke_plane_model(n)[1]
     norm_alpha = states.normalized_amplitudes(alpha, n)
-    predicted = closed_form_triple(norm_alpha, n)
+    predicted = _triple_of(forms, norm_alpha)
     mat = qfi_matrix(states.dicke_superposition(alpha, n)).mat
     direct = np.diag(mat).copy()
     off = float(np.max(np.abs(mat - np.diag(np.diag(mat)))))
     if off > 1e-9:
         raise NumericalError(f"off-diagonal QFI entry {off:.3e} exceeds 1e-9")
-    return ClosedFormReport(q_value=q_val, alpha_normalized=norm_alpha,
+    return ClosedFormReport(q_value=float(forms[1, 0, 2].real) / 4.0,
+                            alpha_normalized=norm_alpha,
                             predicted=predicted, direct=direct,
                             max_residual=float(np.max(np.abs(predicted - direct))),
                             max_offdiagonal=off)
 
 
-def alpha_for_point(q, n_qubits: int, seed: int = 0) -> np.ndarray:
-    """Invert the closed form: amplitudes whose superposition reproduces an
-    interior point of the Dicke-plane triangle.
+def _chord_step(a, b, t: float, gram, forms) -> np.ndarray:
+    """G-unit v in span(a, b) whose triple is p_a + t d, d = p_b - p_a, for
+    G-unit a, b with triples p_a, p_b: the constructive Toeplitz-Hausdorff step.
 
-    Numeric least squares over real and imaginary parts with seeded
-    multistart; accepted when the realized triple matches within 1e-6.
-    Boundary points with a vanishing component are out of reach for this
-    family (the cross term cannot cancel the diagonal one) and raise
-    NumericalError after the multistart budget.
+    N = sum n_l M_l - (n.p_a) G, n = d x (1, 1, 1), vanishes at a and b; with
+    b's phase making a^H N b imaginary, every v = a + s b (s real) keeps its
+    triple on the chord's line. T = sum d_l M_l - (d.z) G is -t|d|^2 at a and
+    (1 - t)|d|^2 at b (taken exact), so v^H T v = 0 has a root s >= 0."""
+    if t >= 1.0:
+        return b
+    p_a = _triple_of(forms, a)
+    d = _triple_of(forms, b) - p_a
+    normal = np.cross(d, np.ones(3))
+    cross = a.conj() @ (np.tensordot(normal, forms, 1) - (normal @ p_a) * gram) @ b
+    b = b * np.exp(1j * (math.pi / 2 - np.angle(cross)))  # a^H N b = i |cross|
+    along = np.tensordot(d, forms, 1) - (d @ (p_a + t * d)) * gram
+    ta, tb = -t * (d @ d), (1.0 - t) * (d @ d)  # exact, so ta <= 0 <= tb
+    tab = float((a.conj() @ along @ b).real)
+    root = math.sqrt(tab * tab - ta * tb)
+    # v = x a + y b with x, y >= 0 solving ta x^2 + 2 tab x y + tb y^2 = 0,
+    # in the form that cancels nothing
+    x, y = (tab + root, -ta) if tab > 0.0 else (tb, root - tab)
+    v = x * a + y * b  # s = y / x
+    return v / math.sqrt(float((v.conj() @ gram @ v).real))
+
+
+def alpha_for_point(q, n_qubits: int) -> np.ndarray:
+    """Invert the closed form, exactly and deterministically: G-unit amplitudes
+    whose superposition reproduces a point of the triangle of the Dicke
+    landmarks, edges and vertices included.
+
+    With q's barycentric weights w on that triangle, two chord steps on the
+    (G, M) model go from the G-unit e_x towards e_y by w_y / (w_x + w_y), then
+    towards e_z by w_z; the realized triple is checked to 1e-6. A non-finite or
+    off-plane q is a ValidationError; a plane point outside the triangle raises
+    NumericalError, though the family reaches part of the plane beyond it.
     """
     q = _coordinates(q)
     n = int(n_qubits)
-    if n % 4 != 0:
-        raise ValidationError("alpha_for_point requires N divisible by 4")
-    plane = float(n * (n + 2))
-    if abs(float(q.sum()) - plane) > 1e-6:
-        raise ValidationError(f"point {q} is not on the Dicke plane (sum {plane})")
-    _, _, overlap = _closed_form_constants(n)
-    gram = np.full((3, 3), overlap)
-    np.fill_diagonal(gram, 1.0)
-
-    def objective(x):
-        a = x[:3] + 1j * x[3:]
-        nrm2 = float((a.conj() @ gram @ a).real)
-        if nrm2 < 1e-9:
-            return np.array([1e6, 1e6, 1e6, 1e6])
-        a = a / math.sqrt(nrm2)
-        return np.concatenate([closed_form_triple(a, n) - q, [nrm2 - 1.0]])
-
-    from scipy.optimize import least_squares  # deferred, as in polytope_contains
-
-    rng = np.random.default_rng(seed)
-    starts = [np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0]) / math.sqrt(3)]
-    starts += [rng.uniform(-1, 1, 6) for _ in range(MAX_STARTS - 1)]
-    for x0 in starts:
-        sol = least_squares(objective, x0, xtol=1e-15, ftol=1e-15, gtol=1e-15)
-        a = sol.x[:3] + 1j * sol.x[3:]
-        nrm2 = float((a.conj() @ gram @ a).real)
-        if nrm2 < 1e-9:
-            continue
-        a = a / math.sqrt(nrm2)
-        if np.max(np.abs(closed_form_triple(a, n) - q)) > 1e-7:
-            continue
-        realized = fisher_triple(states.dicke_superposition(a, n))
-        if np.max(np.abs(realized - q)) <= 1e-6:
-            return a
-    raise NumericalError(f"no amplitude solution found for Dicke-plane point {q}")
+    gram, forms = _dicke_plane_model(n)
+    k = n * (n + 2) / 2.0
+    if not np.all(np.isfinite(q)) or abs(float(q.sum()) - 2.0 * k) > 1e-6:
+        raise ValidationError(f"point {q} is not a finite point of the Dicke plane (sum {2.0 * k})")
+    w = 1.0 - q / k  # the landmark dicke_l has F_l = 0 and K = N(N+2)/2 elsewhere
+    if np.any(w < -1e-9):
+        raise NumericalError(f"Dicke-plane point {q} lies outside the triangle of the Dicke landmarks")
+    w = np.clip(w, 0.0, 1.0)
+    units = np.eye(3, dtype=complex) / np.sqrt(np.diag(gram).real)  # rows e_l / sqrt(G_ll)
+    a = units[0]
+    if w[0] + w[1] > 0.0:
+        a = _chord_step(a, units[1], w[1] / (w[0] + w[1]), gram, forms)
+    a = _chord_step(a, units[2], w[2], gram, forms)
+    realized = fisher_triple(states.dicke_superposition(a, n))
+    if not np.max(np.abs(realized - q)) <= 1e-6:
+        raise NumericalError(f"amplitudes for Dicke-plane point {q} realize {realized}")
+    return a
 
 
 def realize_dicke_point(q, n_qubits: int, seed: int = 0) -> QuantumState:
-    """A state for an interior point of the cone spanned by the origin and
-    the Dicke-plane triangle, via the closed-form inverse plus white noise."""
+    """A state for a point of the cone spanned by the origin and the
+    Dicke-plane triangle: alpha_for_point's superposition for the plane point,
+    plus white noise. The inverse is deterministic, so seed is accepted for
+    existing callers and ignored."""
+    del seed
     n = int(n_qubits)
     return _realize_in_cone(
         q, n, n * (n + 2), "Dicke",
-        lambda point: states.dicke_superposition(alpha_for_point(point, n, seed), n))
+        lambda point: states.dicke_superposition(alpha_for_point(point, n), n))

@@ -414,12 +414,25 @@ def dicke_superposition(alpha, n_qubits: int) -> QuantumState:
                                       alpha=tuple(complex(a) for a in alpha)))
 
 
+@lru_cache(maxsize=8)
+def _balanced_dicke_kets(n_qubits: int):
+    """(D, G): D is the 2^N x 3 matrix of the balanced Dicke kets along x, y
+    and z, and G = D^H D their Gram matrix. Both are read-only."""
+    check_qubits(n_qubits)
+    kets = np.stack([_dicke_vector(n_qubits, n_qubits // 2, b) for b in "xyz"], axis=1)
+    gram = kets.conj().T @ kets
+    kets.setflags(write=False)
+    gram.setflags(write=False)
+    return kets, gram
+
+
 def normalized_amplitudes(alpha, n_qubits: int) -> np.ndarray:
-    """Amplitudes rescaled by the true vector norm of the superposition."""
+    """Amplitudes rescaled by the true vector norm of the superposition, read
+    off the kets' Gram matrix."""
     alpha = np.asarray(alpha, dtype=complex).reshape(3)
-    half = n_qubits // 2
-    kets = [_dicke_vector(n_qubits, half, b) for b in ("x", "y", "z")]
-    gram = np.array([[kets[i].conj() @ kets[j] for j in range(3)] for i in range(3)])
+    if np.all(alpha == 0):
+        raise ValidationError("alpha must not be all zero")
+    gram = _balanced_dicke_kets(n_qubits)[1]
     nrm2 = float((alpha.conj() @ gram @ alpha).real)
     return alpha / math.sqrt(nrm2)
 

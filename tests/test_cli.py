@@ -257,11 +257,14 @@ def test_non_finite_config_is_rejected_before_analysis(tmp_path, capsys, config,
 def test_cli_import_leaves_scipy_optimize_unloaded():
     src = str(Path(spinqfi.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, spinqfi.cli; print('scipy.optimize' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "False"
+    # the Dicke-plane inverse is linear algebra, not a scipy.optimize search
+    for code in ("import spinqfi.cli",
+                 "from spinqfi import landscape; "
+                 "landscape.realize_dicke_point([20., 30., 20.], 8)"):
+        out = subprocess.run(
+            [sys.executable, "-c", f"import sys; {code}; print('scipy.optimize' in sys.modules)"],
+            env=env, capture_output=True, text=True, check=True, timeout=60)
+        assert out.stdout.strip() == "False", code
 
 
 # ------------------------------------------------------------ analyze

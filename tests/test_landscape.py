@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spinqfi import criteria, landscape, qfi, states
 from spinqfi.errors import NumericalError, ValidationError
@@ -179,6 +180,15 @@ def test_realize_product_point_interior():
         np.testing.assert_allclose(qfi.fisher_triple(st), target, atol=1e-8)
 
 
+@pytest.mark.parametrize("realize, q, n", [
+    (landscape.realize_dicke_point, (-10.0, 5.0, 5.0), 8),
+    (landscape.realize_product_point, (-2.0, 1.0, 1.0), 4)], ids=["dicke", "product"])
+def test_realize_rejects_points_below_the_cone(realize, q, n):
+    # a negative component with a sum <= 0 is not the origin of the cone
+    with pytest.raises(ValidationError, match="outside the"):
+        realize(np.array(q), n)
+
+
 def test_realize_product_point_edges():
     st = landscape.realize_product_point(np.zeros(3), 4)
     assert st.spec.kind == "completely_mixed"
@@ -222,11 +232,14 @@ def test_overlap_constant_is_independent_matrix_element():
     assert rep.q_value == pytest.approx(q_val.real, abs=1e-12)
 
 
-def test_closed_form_matches_direct_diagonal():
+@pytest.mark.parametrize("n", [4, 8, 12])
+def test_closed_form_matches_direct_diagonal(n):
+    # N = 4 and 12 (N = 4 mod 8) give the x-z pair the opposite sign; at
+    # N = 12 the dense J cost about a second, so two draws suffice there
     rng = np.random.default_rng(21)
-    for _ in range(10):
+    for _ in range(2 if n == 12 else 10):
         alpha = rng.normal(size=3) + 1j * rng.normal(size=3)
-        rep = landscape.closed_form_check(alpha, 8)
+        rep = landscape.closed_form_check(alpha, n)
         assert rep.max_residual <= 1e-10
         assert rep.max_offdiagonal <= 1e-9
         np.testing.assert_allclose(rep.predicted, rep.direct, atol=1e-10)
@@ -246,21 +259,41 @@ def test_closed_form_requires_multiple_of_four():
 
 
 def test_alpha_inverse_interior_point():
-    q = np.array([30.0, 20.0, 30.0])
-    a = landscape.alpha_for_point(q, 8)
-    st = states.dicke_superposition(a, 8)
-    np.testing.assert_allclose(qfi.fisher_triple(st), q, atol=1e-6)
+    for q, n in (((30.0, 20.0, 30.0), 8), ((8.0, 8.0, 8.0), 4),
+                 ((4.0, 8.0, 12.0), 4), ((10.0, 10.0, 4.0), 4)):
+        a = landscape.alpha_for_point(np.array(q), n)
+        st = states.dicke_superposition(a, n)
+        np.testing.assert_allclose(qfi.fisher_triple(st), q, atol=1e-6)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(n=st.sampled_from([4, 8]),
+       w=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3).filter(lambda w: sum(w) > 1e-3))
+def test_alpha_inverse_realizes_every_triangle_point(n, w):
+    # the inverse is exact: any convex weights on the three Dicke landmarks,
+    # vertices and edges included, come back through the direct QFI
+    pts = landscape.landmark_points(n)
+    verts = np.array([pts[k].p for k in ("dicke_x", "dicke_y", "dicke_z")])
+    target = np.array(w) / sum(w) @ verts
+    a = landscape.alpha_for_point(target, n)
+    realized = qfi.fisher_triple(states.dicke_superposition(a, n))
+    assert np.max(np.abs(realized - target)) <= 1e-9 * n * n
 
 
 def test_alpha_inverse_validates_plane():
     with pytest.raises(ValidationError):
         landscape.alpha_for_point(np.array([30.0, 20.0, 31.0]), 8)
+    with pytest.raises(ValidationError):
+        landscape.alpha_for_point(np.array([np.nan, 40.0, 40.0]), 8)
+    with pytest.raises(ValidationError):
+        landscape.realize_dicke_point(np.array([np.nan, 10.0, 10.0]), 8)
+    with pytest.raises(ValidationError):
+        landscape.realize_product_point(np.array([np.nan, 1.0, 1.0]), 4)
 
 
-def test_alpha_inverse_cannot_reach_zero_component_boundary(monkeypatch):
+def test_alpha_inverse_cannot_reach_zero_component_boundary():
     # the cross term cannot cancel the diagonal: F_l = 0 forces the other two
     # amplitudes to vanish, so generic boundary points are unreachable
-    monkeypatch.setattr(landscape, "MAX_STARTS", 6)
     with pytest.raises(NumericalError):
         landscape.alpha_for_point(np.array([64.0, 16.0, 0.0]), 8)
 

@@ -134,6 +134,8 @@ def test_normalized_amplitudes_unit_gram_norm():
     kets = [local_rotation(dz, u, 8) for u in (HADAMARD, Y_ROT, np.eye(2))]
     gram = np.array([[ki.conj() @ kj for kj in kets] for ki in kets])
     assert complex(a.conj() @ gram @ a).real == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(ValidationError, match="all zero"):
+        states.normalized_amplitudes([0, 0, 0], 8)
 
 
 def test_balanced_dicke_pair_overlap_at_eight_qubits():
