@@ -28,6 +28,7 @@ evaluate_all reads the certificate off the rows it reports.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -81,6 +82,8 @@ class Rung:
     direction: str = "above"
 
     def evaluate(self, value: float, tol: float) -> CriterionReport:
+        if not 0.0 <= tol < math.inf:  # False for NaN too
+            raise ValidationError(f"tol must be nonnegative and finite, got {tol}")
         margin = (value - self.bound) if self.direction == "above" else (self.bound - value)
         violated = margin > tol
         return CriterionReport(self.criterion_id, float(self.bound), float(value), float(margin),

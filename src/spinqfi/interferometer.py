@@ -142,7 +142,10 @@ def _conjugate(state: QuantumState, u: np.ndarray) -> QuantumState:
 
 def classical_fisher_report(state: QuantumState, setting: PhaseSetting,
                             meas: Measurement, h: float = FD_STEP) -> dict:
-    """Classical Fisher information with finite-difference diagnostics."""
+    """Classical Fisher information with finite-difference diagnostics; the
+    central-difference step h must be positive and finite."""
+    if not 0.0 < h < math.inf:  # False for NaN too
+        raise ValidationError(f"finite-difference step h must be positive and finite, got {h}")
     if meas.dim != state.dim:
         raise ValidationError("measurement dimension does not match the state")
     shifted = (replace(setting, theta=setting.theta + dt) for dt in (0.0, -h, h))

@@ -7,7 +7,7 @@ kets' Gram matrix G and three 3x3 forms M_l, with F_l = a^H M_l a for G-unit
 amplitudes a. The closed form reads it directly; the inverse for a point of
 the triangle of the Dicke landmarks is two exact Toeplitz-Hausdorff chord
 steps on it (Carden, Inverse Problems 25, 115019 (2009)), deterministic and
-without scipy.optimize. Plane points outside that triangle are not inverted.
+with no numerical search. Plane points outside that triangle are not inverted.
 
 Landmark keys: "origin" (completely mixed), "product_l" (polarized product
 states), "dicke_l" (balanced Dicke states), "excited_dicke_l" (the
@@ -15,6 +15,7 @@ biseparable extremal candidates) and "ghz_l", each for l in {x, y, z}.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -167,20 +168,30 @@ def named_polytope(name: str, n_qubits: int) -> Polytope:
 
 
 def polytope_contains(poly: Polytope, q, tol: float = MEMBERSHIP_TOL) -> bool:
-    """Convex-combination membership, boundary included: the nonnegative
-    least-squares w of [V; 1] w = [q; 1] reproduces [q; 1] within tol."""
+    """Convex-combination membership, boundary included: some set S of at most
+    four vertices has least-squares weights w >= 0 for [V_S; 1] w = [q; 1] that
+    reproduce [q; 1] within tol.
+
+    By Caratheodory's theorem a point of a 3-D hull lies in the hull of at
+    most four vertices, and the nonnegative least-squares optimum over all
+    vertices is the least-squares solve on its passive set, one of these sets.
+    So this enumeration (at most 162 sets for 8 vertices) answers as that
+    optimum does, except where its largest residual lies in (tol, 2 tol]."""
     q = _coordinates(q)
     verts = np.array([v.p for v in poly.vertices])
     if len(verts) > 8:
         raise ValidationError("membership test supports at most 8 vertices")
     if not np.all(np.isfinite(q)):
         return False
-    from scipy.optimize import nnls  # deferred: scipy.optimize dominates import time
-
     block = np.vstack([verts.T, np.ones(len(verts))])
     target = np.concatenate([q, [1.0]])
-    w, _ = nnls(block, target)
-    return bool(np.max(np.abs(block @ w - target)) <= tol)
+    for size in range(1, min(4, len(verts)) + 1):
+        for cols in itertools.combinations(range(len(verts)), size):
+            sub = block[:, cols]
+            w = np.linalg.lstsq(sub, target, rcond=None)[0]
+            if np.all(w >= 0.0) and np.max(np.abs(sub @ w - target)) <= tol:
+                return True
+    return False
 
 
 def product_state_for_point(q, n_qubits: int) -> QuantumState:

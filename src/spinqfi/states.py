@@ -243,8 +243,11 @@ class QuantumState:
         """Eigenvalues above eps and the matching eigenvector columns.
 
         Eigenvalues at or below eps are treated as exactly zero. A full-rank
-        spectrum is returned as it is held, read-only and uncopied.
+        spectrum is returned as it is held, read-only and uncopied. eps must be
+        nonnegative and finite (ValidationError otherwise).
         """
+        if not 0.0 <= eps < math.inf:  # False for NaN too
+            raise ValidationError(f"rank cutoff eps must be nonnegative and finite, got {eps}")
         if self._vector is not None:
             return np.array([1.0]), self._vector.reshape(-1, 1)
         dec = self.spectrum

@@ -257,12 +257,17 @@ def test_non_finite_config_is_rejected_before_analysis(tmp_path, capsys, config,
 def test_cli_import_leaves_scipy_optimize_unloaded():
     src = str(Path(spinqfi.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    # the Dicke-plane inverse is linear algebra, not a scipy.optimize search
+    # the Dicke-plane inverse and hull membership are numpy linear algebra;
+    # numpy is the only runtime dependency, so no scipy module loads at all
+    loaded = "any(m.split('.')[0] == 'scipy' for m in sys.modules)"
     for code in ("import spinqfi.cli",
                  "from spinqfi import landscape; "
-                 "landscape.realize_dicke_point([20., 30., 20.], 8)"):
+                 "landscape.realize_dicke_point([20., 30., 20.], 8)",
+                 "from spinqfi import landscape; "
+                 "[landscape.polytope_contains(landscape.named_polytope(name, 8), [20., 30., 20.]) "
+                 "for name in ('product', 'dicke', 'bisep')]"):
         out = subprocess.run(
-            [sys.executable, "-c", f"import sys; {code}; print('scipy.optimize' in sys.modules)"],
+            [sys.executable, "-c", f"import sys; {code}; print({loaded})"],
             env=env, capture_output=True, text=True, check=True, timeout=60)
         assert out.stdout.strip() == "False", code
 

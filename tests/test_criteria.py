@@ -94,6 +94,18 @@ def test_bound_argument_validation():
 
 # ------------------------------------------------------------ variance floor
 
+@pytest.mark.parametrize("tol", [-100.0, -1.0, math.nan, math.inf])
+def test_library_tolerance_must_be_nonnegative_and_finite(tol):
+    # unchecked, a negative tol certifies depth 3 for the completely mixed
+    # state and a NaN one reads depth 1; every entry point evaluates a rung
+    for call in (lambda: criteria.depth_lower_bound(states.completely_mixed(3), tol=tol),
+                 lambda: criteria.evaluate_all(states.product_bloch((1, 0, 0), 4), tol=tol),
+                 lambda: criteria.variance_criterion(states.ghz(3), tol=tol),
+                 lambda: criteria.spectral_criteria(qfi.qfi_matrix(states.ghz(3)), 3, 2, tol=tol)):
+        with pytest.raises(ValidationError, match="tol must be nonnegative and finite"):
+            call()
+
+
 def test_variance_floor_detects_singlet_pairs():
     rep = criteria.variance_criterion(singlet_pairs(2))
     assert rep.criterion_id == "variance_floor"

@@ -148,6 +148,14 @@ def test_step_halving_converges():
     assert abs(full - half) / max(abs(half), 1e-12) < 1e-5
 
 
+@pytest.mark.parametrize("h", [0.0, -1e-4, math.nan, math.inf])
+def test_finite_difference_step_must_be_positive_and_finite(h):
+    # unchecked, h = 0 divides by zero and h = nan is blamed on theta
+    setting = itf.PhaseSetting(0.1, (0.0, 0.0, 1.0))
+    with pytest.raises(ValidationError, match="finite-difference step h"):
+        itf.classical_fisher_report(states.ghz(3), setting, itf.Measurement.parity("x", 3), h=h)
+
+
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValidationError):
         itf.classical_fisher(states.ghz(3), itf.PhaseSetting(0.1, (0, 0, 1.0)),

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spinqfi import criteria, landscape, qfi, states
 from spinqfi.errors import NumericalError, ValidationError
@@ -112,6 +112,43 @@ def test_membership_vertex_budget():
         landscape.FisherPoint(np.array([float(i), 0.0, 0.0])) for i in range(9)))
     with pytest.raises(ValidationError):
         landscape.polytope_contains(many, np.zeros(3))
+
+
+@st.composite
+def hull_and_point(draw):
+    """1 to 8 integer-lattice vertices of affine dimension at most 3, 2, 1 or 0
+    (repeats, collinear and coplanar sets included) and a point: a convex
+    combination (weights may vanish, so faces and vertices are drawn), or one
+    moved 1e-3 along a lattice direction, which can take it just outside."""
+    dim = draw(st.sampled_from([3, 2, 1, 0]))
+    dirs = np.array([[draw(st.integers(-3, 3)) for _ in range(3)] for _ in range(dim)], dtype=float)
+    count = draw(st.sampled_from(range(8, 0, -1)))
+    verts = np.array([sum((draw(st.integers(0, 3)) * d for d in dirs), np.zeros(3))
+                      for _ in range(count)])
+    verts -= verts.min(axis=0)  # Fisher points are nonnegative
+    weights = np.array([draw(st.integers(0, 3)) for _ in range(count)], dtype=float)
+    if weights.sum() == 0.0:
+        weights[0] = 1.0
+    point = weights / weights.sum() @ verts
+    if draw(st.booleans()):
+        point += 1e-3 * np.array([draw(st.integers(-2, 2)) for _ in range(3)])
+    return verts, point
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(case=hull_and_point())
+@example(case=(np.array([[1.0, 2.0, 3.0]]), np.array([1.0, 2.0, 3.0])))
+@example(case=(np.array([[1.0, 2.0, 3.0]]), np.array([1.0, 2.0, 3.001])))
+def test_membership_matches_nonnegative_least_squares(case):
+    # the second route is the nonnegative least-squares solve over all vertices
+    nnls = pytest.importorskip("scipy.optimize").nnls
+    verts, point = case
+    poly = landscape.Polytope("drawn", tuple(landscape.FisherPoint(v) for v in verts))
+    block = np.vstack([verts.T, np.ones(len(verts))])
+    target = np.concatenate([point, [1.0]])
+    w, _ = nnls(block, target)
+    inside = np.max(np.abs(block @ w - target)) <= landscape.MEMBERSHIP_TOL
+    assert landscape.polytope_contains(poly, point) == inside
 
 
 # ------------------------------------------------------------ product plane

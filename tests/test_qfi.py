@@ -130,6 +130,18 @@ def test_white_noise_direction_is_the_closed_form_scale(source, p, seed):
     assert abs(got - want) <= 1e-13 * abs(want)
 
 
+@pytest.mark.parametrize("eps", [-1.0, math.nan, math.inf])
+def test_white_noise_routes_reject_a_bad_rank_cutoff(eps):
+    # unchecked, eps = nan gives [0, 0, 0] on the dense route and 3.6 on the
+    # direction route; both reach QuantumState.support
+    mixed = states.white_noise_mix(states.ghz(3), 0.5)
+    for call in (lambda: qfi.fisher_triple(mixed, eps),
+                 lambda: qfi.qfi_direction(mixed, (0, 0, 1), eps),
+                 lambda: states.ghz(3).support(eps)):
+        with pytest.raises(ValidationError, match="rank cutoff eps must be nonnegative and finite"):
+            call()
+
+
 # ------------------------------------------------------------ invariants
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
