@@ -2,12 +2,13 @@
 
 Landmark coordinates, convex-polytope membership, plane samplers, the
 white-noise scaling line, and the superpositions of the three balanced Dicke
-states. That family has one model, formed once per N (divisible by 4): the
-kets' Gram matrix G and three 3x3 forms M_l, with F_l = a^H M_l a for G-unit
-amplitudes a. The closed form reads it directly; the inverse for a point of
-the triangle of the Dicke landmarks is two exact Toeplitz-Hausdorff chord
-steps on it (Carden, Inverse Problems 25, 115019 (2009)), deterministic and
-with no numerical search. Plane points outside that triangle are not inverted.
+states. That family has one model, formed once per N (divisible by 4) on the
+N + 1 symmetric Dicke states: the kets' Gram matrix G and three 3x3 forms
+M_l, with F_l = a^H M_l a for G-unit amplitudes a. The closed form reads it
+directly; the inverse for a point of the triangle of the Dicke landmarks is
+two exact Toeplitz-Hausdorff chord steps on it (Carden, Inverse Problems 25,
+115019 (2009)), deterministic and with no numerical search. Plane points
+outside that triangle are not inverted.
 
 Landmark keys: "origin" (completely mixed), "product_l" (polarized product
 states), "dicke_l" (balanced Dicke states), "excited_dicke_l" (the
@@ -24,8 +25,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import states
-from .collective import collective_all
 from .errors import NumericalError, ValidationError
+from .matcore import check_qubits
 from .qfi import fisher_triple, qfi_matrix
 from .states import EPS_RANK, QuantumState, StateSpec
 
@@ -170,13 +171,15 @@ def named_polytope(name: str, n_qubits: int) -> Polytope:
 def polytope_contains(poly: Polytope, q, tol: float = MEMBERSHIP_TOL) -> bool:
     """Convex-combination membership, boundary included: some set S of at most
     four vertices has least-squares weights w >= 0 for [V_S; 1] w = [q; 1] that
-    reproduce [q; 1] within tol.
+    reproduce [q; 1] within tol, which must be nonnegative and finite.
 
     By Caratheodory's theorem a point of a 3-D hull lies in the hull of at
     most four vertices, and the nonnegative least-squares optimum over all
     vertices is the least-squares solve on its passive set, one of these sets.
     So this enumeration (at most 162 sets for 8 vertices) answers as that
     optimum does, except where its largest residual lies in (tol, 2 tol]."""
+    if not 0.0 <= tol < math.inf:  # False for NaN too
+        raise ValidationError(f"tol must be nonnegative and finite, got {tol}")
     q = _coordinates(q)
     verts = np.array([v.p for v in poly.vertices])
     if len(verts) > 8:
@@ -214,6 +217,8 @@ def product_state_for_point(q, n_qubits: int) -> QuantumState:
 
 def noise_scale(p: float, n_qubits: int) -> float:
     """QFI-matrix scale factor of mixing a pure state with white noise."""
+    if not 0.0 <= p <= 1.0:
+        raise ValidationError(f"noise weight p={p} out of [0, 1]")
     c = 2.0 ** (-(n_qubits - 1))
     return p * p / (p + (1.0 - p) * c)
 
@@ -321,21 +326,46 @@ def noise_line(state: QuantumState, p_grid: Sequence[float],
 
 @lru_cache(maxsize=8)
 def _dicke_plane_model(n_qubits: int) -> Tuple[np.ndarray, np.ndarray]:
-    """(G, M) of the balanced-Dicke family: G = D^H D is the Gram matrix of the
-    kets D = [D_x, D_y, D_z], and M[l] = 4 (J_l D)^H (J_l D). Every member has
-    <J_l> = 0 (D^H J_l D vanishes), so a G-unit amplitude vector a has
-    F_l = 4 <J_l^2> = a^H M_l a. Read-only, formed once per N."""
+    """(G, M) of the balanced-Dicke family, on the N + 1 symmetric Dicke states
+    |D_k> (k excitations): J_z = diag(N/2 - k), <D_{k-1}|J_+|D_k> =
+    sqrt(k (N - k + 1)). The kets D = [D_x, D_y, D_z]: D_z = |D_{N/2}>, and D_x, D_y
+    are the null vectors of J_x, J_y, phased so that their |D_0> amplitude is
+    positive, as states.dicke(n, n/2, "x"|"y") has them. G = D^H D and M[l] = 4 (J_l D)^H (J_l D);
+    D^H J_l D vanishes, so a G-unit a has F_l = a^H M_l a. Read-only."""
     n = int(n_qubits)
+    check_qubits(n)
     if n % 4 != 0:
         raise ValidationError("the Dicke-plane family requires N divisible by 4")
-    kets, gram = states._balanced_dicke_kets(n)
-    moved = [j @ kets for j in collective_all(n)]
+    k = np.arange(n + 1)
+    up = np.diag(np.sqrt(k[1:] * (n + 1.0 - k[1:])), 1)  # J_+
+    ops = [(up + up.T) / 2, (up - up.T) / 2j, np.diag(n / 2 - k)]
+    nulls = [np.linalg.eigh(op)[1][:, n // 2] for op in ops[:2]]  # eigenvalues -N/2, ..., N/2
+    kets = np.stack([v * (abs(v[0]) / v[0]) for v in nulls] + [np.eye(n + 1)[n // 2]], axis=1)
+    moved = [j @ kets for j in ops]
     first = max(float(np.max(np.abs(kets.conj().T @ jd))) for jd in moved)
     if first > 1e-9:
         raise NumericalError(f"first moment D^H J D has an entry {first:.3e} above 1e-9")
+    gram = kets.conj().T @ kets
     forms = np.array([4.0 * (jd.conj().T @ jd) for jd in moved])
+    gram.setflags(write=False)
     forms.setflags(write=False)
     return gram, forms
+
+
+def normalized_amplitudes(alpha, n_qubits: int) -> np.ndarray:
+    """Amplitudes rescaled to a^H G a = 1, the true norm of their superposition.
+    Amplitudes that are not finite, or whose superposition vanishes as in
+    states.dicke_superposition, are a ValidationError."""
+    a = np.asarray(alpha, dtype=complex).reshape(3)
+    top = float(np.max(np.abs(a)))
+    if not math.isfinite(top):
+        raise ValidationError(f"amplitudes must be finite, got {a}")
+    a = a / top if top > 0.0 else a  # so that a^H G a cannot overflow
+    nrm2 = float((a.conj() @ _dicke_plane_model(n_qubits)[0] @ a).real)
+    if not nrm2 > (states.VANISHING_NORM * float(np.linalg.norm(a))) ** 2:
+        raise ValidationError("alpha is all zero or its superposition of the "
+                              "balanced Dicke kets vanishes")
+    return a / math.sqrt(nrm2)
 
 
 def _triple_of(forms: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -348,10 +378,11 @@ def closed_form_triple(alpha, n_qubits: int) -> np.ndarray:
     F_l = a^H M_l a, read off the family's (G, M) model.
 
     alpha must be the post-normalization amplitudes (a^H G a = 1, as
-    states.normalized_amplitudes returns them). Each pair of kets carries its
-    own cross term: for N = 4 (mod 8) the x-z pair has the opposite sign to the
+    normalized_amplitudes returns them). Each pair of kets carries its own
+    cross term: for N = 4 (mod 8) the x-z pair has the opposite sign to the
     other two. N must be divisible by 4 (ValidationError otherwise).
     """
+    normalized_amplitudes(alpha, n_qubits)  # rejects non-finite or vanishing amplitudes
     return _triple_of(_dicke_plane_model(n_qubits)[1],
                       np.asarray(alpha, dtype=complex).reshape(3))
 
@@ -371,7 +402,7 @@ def closed_form_check(alpha, n_qubits: int) -> ClosedFormReport:
     q_value is <D_x|J_y^2|D_z> = M_y[x, z] / 4."""
     n = int(n_qubits)
     forms = _dicke_plane_model(n)[1]
-    norm_alpha = states.normalized_amplitudes(alpha, n)
+    norm_alpha = normalized_amplitudes(alpha, n)
     predicted = _triple_of(forms, norm_alpha)
     mat = qfi_matrix(states.dicke_superposition(alpha, n)).mat
     direct = np.diag(mat).copy()

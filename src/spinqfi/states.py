@@ -33,6 +33,9 @@ BASIS_ROTATION = {
     "y": np.array([[1, 1], [1j, -1j]], dtype=complex) / np.sqrt(2),
 }
 EPS_RANK = 1e-12  # the rank cutoff: eigenvalues at or below it count as zero
+# A balanced-Dicke superposition this small relative to |alpha| counts as zero;
+# the least nonzero Gram eigenvalue under the cap is 0.375.
+VANISHING_NORM = 1e-6
 
 
 def _expect(ok: bool, what: str, value) -> None:
@@ -400,44 +403,25 @@ def dicke_superposition(alpha, n_qubits: int) -> QuantumState:
     """Complex combination of the balanced Dicke state along x, y and z.
 
     The three kets are not pairwise orthogonal, so the sum is renormalized
-    explicitly. Requires N divisible by 4.
+    explicitly; one of norm at most VANISHING_NORM |alpha| is an error (at N = 4
+    the kets are linearly dependent). Requires N divisible by 4.
     """
     check_qubits(n_qubits)
     if n_qubits % 4 != 0:
         raise ValidationError("dicke_superposition requires N divisible by 4")
     alpha = np.asarray(alpha, dtype=complex).reshape(3)
-    if np.all(alpha == 0):
-        raise ValidationError("alpha must not be all zero")
     half = n_qubits // 2
     v = (alpha[0] * _dicke_vector(n_qubits, half, "x")
          + alpha[1] * _dicke_vector(n_qubits, half, "y")
          + alpha[2] * _dicke_vector(n_qubits, half, "z"))
+    with np.errstate(over="ignore"):  # an overflowing norm is _pure_state's error
+        nrm, scale = np.linalg.norm(v), np.linalg.norm(alpha)
+    if math.isfinite(nrm) and nrm <= VANISHING_NORM * scale:
+        raise ValidationError("alpha is all zero or its superposition of the "
+                              "balanced Dicke kets vanishes")
     return _pure_state(v, n_qubits,
                        spec=StateSpec("dicke_superposition", n_qubits,
                                       alpha=tuple(complex(a) for a in alpha)))
-
-
-@lru_cache(maxsize=8)
-def _balanced_dicke_kets(n_qubits: int):
-    """(D, G): D is the 2^N x 3 matrix of the balanced Dicke kets along x, y
-    and z, and G = D^H D their Gram matrix. Both are read-only."""
-    check_qubits(n_qubits)
-    kets = np.stack([_dicke_vector(n_qubits, n_qubits // 2, b) for b in "xyz"], axis=1)
-    gram = kets.conj().T @ kets
-    kets.setflags(write=False)
-    gram.setflags(write=False)
-    return kets, gram
-
-
-def normalized_amplitudes(alpha, n_qubits: int) -> np.ndarray:
-    """Amplitudes rescaled by the true vector norm of the superposition, read
-    off the kets' Gram matrix."""
-    alpha = np.asarray(alpha, dtype=complex).reshape(3)
-    if np.all(alpha == 0):
-        raise ValidationError("alpha must not be all zero")
-    gram = _balanced_dicke_kets(n_qubits)[1]
-    nrm2 = float((alpha.conj() @ gram @ alpha).real)
-    return alpha / math.sqrt(nrm2)
 
 
 def excited_dicke(n_qubits: int, basis: str = "z") -> QuantumState:

@@ -347,6 +347,18 @@ def test_exit_code_validation_error(tmp_path, capsys):
     assert err["error"]["exit_code"] == 3
 
 
+def test_vanishing_dicke_superposition_is_a_validation_error(tmp_path, capsys):
+    # the N = 4 kets are linearly dependent: this alpha cancels them to rounding,
+    # and normalizing the residue certified a depth-4 state
+    doc = {"kind": "dicke_superposition", "n_qubits": 4, "alpha": [[1, 0], [-1, 0], [1, 0]]}
+    assert main(["analyze", write_spec(tmp_path, "kernel.json", doc)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == {
+        "type": "ValidationError", "exit_code": 3,
+        "message": "alpha is all zero or its superposition of the balanced Dicke kets vanishes"}
+
+
 def test_raw_matrix_spec_names_every_shape_problem(tmp_path, capsys):
     doc = {"kind": "raw_matrix", "n_qubits": 2,
            "matrix": [[[1.0 / 3 if i == j else 0.0, 0.0] for j in range(3)] for i in range(3)]}

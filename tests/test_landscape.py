@@ -1,15 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from spinqfi import criteria, landscape, qfi, states
-from spinqfi.errors import NumericalError, ValidationError
+from spinqfi import collective, criteria, landscape, qfi, states
+from spinqfi.errors import DimensionCapError, NumericalError, ValidationError
 
 import helpers
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+Y_ROT = np.array([[1, 1], [1j, -1j]], dtype=complex) / math.sqrt(2)
 
 
 # ------------------------------------------------------------ landmarks
@@ -101,6 +103,17 @@ def test_membership_tolerance_window():
     assert landscape.polytope_contains(poly, nudged)
 
 
+@pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
+def test_membership_tolerance_must_be_nonnegative_and_finite(tol):
+    # -1 and nan used to put the vertex (40, 40, 0) outside its own hull, and
+    # inf put (400, 400, 0) inside
+    poly = landscape.named_polytope("dicke", 8)
+    for q in ([40.0, 40.0, 0.0], [400.0, 400.0, 0.0]):
+        with pytest.raises(ValidationError, match="tol must be nonnegative and finite"):
+            landscape.polytope_contains(poly, q, tol=tol)
+    assert landscape.polytope_contains(poly, [0.0, 0.0, 0.0], tol=0.0)
+
+
 def test_ghz_point_outside_biseparable_hull():
     poly = landscape.named_polytope("bisep", 6)
     ghz_point = landscape.landmark_points(6)["ghz_z"]
@@ -183,6 +196,12 @@ def test_noise_scale_frozen_values():
     assert landscape.noise_scale(0.0, 4) == 0.0
 
 
+@pytest.mark.parametrize("p", [-0.1, 1.5, math.nan, math.inf])
+def test_noise_scale_rejects_weights_outside_the_unit_interval(p):
+    with pytest.raises(ValidationError, match=r"out of \[0, 1\]"):
+        landscape.noise_scale(p, 4)
+
+
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_noise_weight_inverts_scale(n):
     for p in np.linspace(0.0, 1.0, 11):
@@ -256,6 +275,100 @@ def test_sample_dicke_plane_coplanar_and_seeded():
 
 
 # ------------------------------------------------------------ closed form
+
+def _balanced_kets(n, rotate):
+    """2^N x 3 kets of the balanced Dicke states along x, y, z: rotate(u, D_z)
+    applies the 2x2 u to every qubit."""
+    weight = np.array([bin(i).count("1") for i in range(2 ** n)])
+    dz = (weight == n // 2) / math.sqrt(math.comb(n, n // 2)) + 0j
+    return np.stack([rotate(u, dz) for u in (HADAMARD, Y_ROT)] + [dz], axis=1)
+
+
+def _each_qubit(u, v, n):
+    t = v.reshape((2,) * n)
+    for axis in range(n):
+        t = np.moveaxis(np.tensordot(u, t, axes=([1], [axis])), 0, axis)
+    return t.reshape(-1)
+
+
+def _collective_times(axis, kets, n):
+    """J_axis kets, one bit flip per qubit; sigma_y |b> = i (-1)^b |1 - b>."""
+    idx = np.arange(2 ** n)
+    out = np.zeros_like(kets)
+    for s in range(n):
+        bit = (idx >> s & 1)[:, None]
+        flipped = kets[idx ^ (1 << s)]
+        out += {"x": 0.5 * flipped, "y": np.where(bit, 0.5j, -0.5j) * flipped,
+                "z": (0.5 - bit) * kets}[axis]
+    return out
+
+
+@pytest.mark.parametrize("n", [4, 8, 12])
+def test_dicke_plane_model_matches_the_register_route(n):
+    # G and M entry by entry against 2^N kets: dense helper operators at N = 4
+    # and 8, bit flips at N = 12, where a dense J takes 268 MB
+    if n < 12:
+        kets = _balanced_kets(n, lambda u, v: helpers.kron_chain([u] * n) @ v)
+        moved = [helpers.collective_op(axis, n) @ kets for axis in "xyz"]
+    else:
+        kets = _balanced_kets(n, lambda u, v: _each_qubit(u, v, n))
+        moved = [_collective_times(axis, kets, n) for axis in "xyz"]
+    gram, forms = landscape._dicke_plane_model(n)
+    assert np.max(np.abs(gram - kets.conj().T @ kets)) <= 1e-12 * n * n
+    for form, jd in zip(forms, moved):
+        assert np.max(np.abs(form - 4.0 * jd.conj().T @ jd)) <= 1e-12 * n * n
+    assert not gram.flags.writeable and not forms.flags.writeable
+
+
+def test_closed_form_needs_no_register_operator():
+    landscape._dicke_plane_model.cache_clear()
+    collective._collective_cached.cache_clear()
+    tracemalloc.start()
+    try:
+        triple = landscape.closed_form_triple(np.array([1.0, 0.0, 0.0]), 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_allclose(triple, [0.0, 84.0, 84.0], atol=1e-9)
+    assert peak < 5 * 2 ** 20
+    assert collective._collective_cached.cache_info().misses == 0
+    with pytest.raises(DimensionCapError):
+        landscape.closed_form_triple(np.array([1.0, 0.0, 0.0]), 16)
+
+
+def test_normalized_amplitudes_unit_gram_norm():
+    rng = np.random.default_rng(3)
+    alpha = rng.normal(size=3) + 1j * rng.normal(size=3)
+    a = landscape.normalized_amplitudes(alpha, 8)
+    # rebuild the Gram matrix from hand-rotated kets
+    dz = states.dicke(8, 4, "z").vector
+    kets = [helpers.kron_chain([u] * 8) @ dz for u in (HADAMARD, Y_ROT, np.eye(2))]
+    gram = np.array([[ki.conj() @ kj for kj in kets] for ki in kets])
+    assert complex(a.conj() @ gram @ a).real == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(ValidationError, match="all zero"):
+        landscape.normalized_amplitudes([0, 0, 0], 8)
+
+
+@pytest.mark.parametrize("name", ["normalized_amplitudes", "closed_form_triple",
+                                  "closed_form_check"])
+@pytest.mark.parametrize("alpha, n, message", [
+    ([1.0, -1.0, 1.0], 4, "vanishes"),  # the N = 4 kets are linearly dependent
+    ([1e-200, -1e-200, 1e-200], 4, "vanishes"),
+    ([math.inf, 0.0, 0.0], 8, "finite"),
+    ([math.nan, 0.0, 0.0], 8, "finite"),
+])
+def test_dicke_plane_amplitudes_must_be_finite_and_not_vanish(name, alpha, n, message):
+    with pytest.raises(ValidationError, match=message):
+        getattr(landscape, name)(np.array(alpha), n)
+
+
+def test_normalized_amplitudes_are_scale_free():
+    alpha = np.array([1.0, 2j, -0.5])
+    want = landscape.normalized_amplitudes(alpha, 8)
+    for scale in (1e-200, 1e200):
+        np.testing.assert_allclose(landscape.normalized_amplitudes(scale * alpha, 8),
+                                   want, rtol=1e-15, atol=0)
+
 
 def test_overlap_constant_is_independent_matrix_element():
     # <D_x| J_y^2 |D_z> built from scratch

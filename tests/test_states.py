@@ -123,19 +123,10 @@ def test_dicke_superposition_validation():
         states.dicke_superposition([1, 0, 0], 6)
     with pytest.raises(ValidationError):
         states.dicke_superposition([0, 0, 0], 4)
-
-
-def test_normalized_amplitudes_unit_gram_norm():
-    rng = np.random.default_rng(3)
-    alpha = rng.normal(size=3) + 1j * rng.normal(size=3)
-    a = states.normalized_amplitudes(alpha, 8)
-    # rebuild the Gram matrix from hand-rotated kets
-    dz = states.dicke(8, 4, "z").vector
-    kets = [local_rotation(dz, u, 8) for u in (HADAMARD, Y_ROT, np.eye(2))]
-    gram = np.array([[ki.conj() @ kj for kj in kets] for ki in kets])
-    assert complex(a.conj() @ gram @ a).real == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValidationError, match="all zero"):
-        states.normalized_amplitudes([0, 0, 0], 8)
+    # at N = 4 the three kets are linearly dependent, with kernel (1, -1, 1)
+    for scale in (1.0, 1e-200, 1e100):
+        with pytest.raises(ValidationError, match="vanishes"):
+            states.dicke_superposition(scale * np.array([1.0, -1.0, 1.0]), 4)
 
 
 def test_balanced_dicke_pair_overlap_at_eight_qubits():
