@@ -1,34 +1,21 @@
 """Entanglement bounds on collective-spin QFI and depth certification.
 
-Bound families
---------------
-* separable states:      sum_l F_Q <= 2N   and   F_Q[J_l] <= N
-* any state:             sum_l F_Q <= N(N+2)
-* k-producible states:   F_Q[J_l] <= n k^2 + (N - n k)^2,  n = floor(N/k),
-                         sum_l F_Q <= n k (k+2) + r (r+2)  with r = N - n k,
-                         where a single leftover qubit (r = 1) tightens the
-                         tail term to 2
-* biseparable states:    F_Q[J_l] <= (N-1)^2 + 1,  sum_l F_Q <= N^2 + 1
-* >= M unentangled:      sum_l F_Q <= M + (N-M)(N-M+2)
-* variance floor:        separable states keep sum_l (Delta J_l)^2 >= N/2,
-                         so dropping below the floor flags entanglement; the
-                         sum is qfi.collective_variances, which reads the
-                         diagonals of rho J and rho J^2 (blocks of rows for a
-                         pure state, four dense products otherwise)
+One table, ladder(N), states every bound once, in report order, and its
+docstring gives each formula: separable, any-state, k-producible,
+biseparable, unentangled-particle and variance-floor rungs. evaluate_all,
+spectral_criteria and depth_lower_bound all read it.
 
 The spectral forms replace the axis values with the trace and largest
 eigenvalue of the QFI matrix, which makes them invariant under collective
-single-qubit rotations.
-
-One table, ladder(N), lists every bound in report order; evaluate_all,
-spectral_criteria and depth_lower_bound all read it. Violating a
-k-producible rung certifies (k+1)-particle entanglement (separable is k = 1),
-so the depth is 1 + the largest violated k and the witness is that row:
-evaluate_all reads the certificate off the rows it reports.
+single-qubit rotations. Violating a k-producible rung certifies
+(k+1)-particle entanglement (separable is k = 1), so the depth is 1 + the
+largest violated k and the witness is that row: evaluate_all reads the
+certificate off the rows it reports.
 """
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -90,94 +77,68 @@ class Rung:
                                violated, self.implication if violated else None, self.direction)
 
 
+def _integer(value, name: str) -> int:
+    """value as an int. Any integer type but bool passes (np.int64 too); a float
+    or bool is refused, as int() would read 2.5 as 2 and True as 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _check_n(n_qubits: int) -> int:
-    if n_qubits < 1:
+    n = _integer(n_qubits, "n_qubits")
+    if n < 1:
         raise ValidationError("n_qubits must be positive")
-    return int(n_qubits)
-
-
-def bound_separable_sum(n_qubits: int) -> float:
-    return 2.0 * _check_n(n_qubits)
-
-
-def bound_separable_single(n_qubits: int) -> float:
-    return float(_check_n(n_qubits))
-
-
-def bound_max_sum(n_qubits: int) -> float:
-    """Ceiling on the triple sum for arbitrary states."""
-    n = _check_n(n_qubits)
-    return float(n * (n + 2))
-
-
-def _packing(n_qubits: int, k: int) -> Tuple[int, int]:
-    """(full k-qubit blocks, leftover qubits) of the k-producible optimum."""
-    n = _check_n(n_qubits)
-    if not 1 <= k <= n:
-        raise ValidationError(f"k={k} out of range 1..{n}")
-    return n // k, n % k
-
-
-def bound_kprod_single(n_qubits: int, k: int) -> float:
-    blocks, rem = _packing(n_qubits, k)
-    return float(blocks * k * k + rem * rem)
-
-
-def bound_kprod_sum(n_qubits: int, k: int) -> float:
-    blocks, rem = _packing(n_qubits, k)
-    tail = 2.0 if rem == 1 else float(rem * (rem + 2))
-    return float(blocks * k * (k + 2)) + tail
-
-
-def bounds_biseparable(n_qubits: int) -> Tuple[float, float]:
-    """(per-component bound, sum bound) for biseparable states."""
-    n = _check_n(n_qubits)
-    if n < 2:
-        raise ValidationError("biseparable bounds need n_qubits >= 2")
-    return float((n - 1) ** 2 + 1), float(n * n + 1)
-
-
-def bound_unentangled(n_qubits: int, m_unentangled: int) -> float:
-    """Sum bound for states with at least M unentangled particles."""
-    n = _check_n(n_qubits)
-    m = int(m_unentangled)
-    if not 0 <= m <= n:
-        raise ValidationError(f"M={m} out of range 0..{n}")
-    return float(m + (n - m) * (n - m + 2))
+    return n
 
 
 def ladder(n_qubits: int) -> List[Rung]:
-    """Every bound for N qubits, in report order.
+    """Every bound for N qubits, in report order; each formula is stated here once.
 
-    Only the spectral rungs carry k > 0: trace == sum and top >= peak, so up
-    to rounding they fire whenever a per-axis form of the same rung does.
+    * separable states:      sum_l F_Q <= 2N   and   F_Q[J_l] <= N
+    * any state:             sum_l F_Q <= N(N+2)
+    * k-producible states:   with N = n k + r (divmod), F_Q[J_l] <= n k^2 + r^2
+                             and sum_l F_Q <= n k (k+2) + r (r+2), where a
+                             single leftover qubit (r = 1) tightens the tail
+                             term to 2: r(r+2) is the r-qubit ceiling for
+                             r >= 2, and one pure qubit reaches only 2
+    * biseparable states:    F_Q[J_l] <= (N-1)^2 + 1,  sum_l F_Q <= N^2 + 1
+                             (not attained at N = 2, where biseparable is
+                             separable and the sum reaches only 2N = 4)
+    * >= M unentangled:      sum_l F_Q <= M + (N-M)(N-M+2)
+    * variance floor:        separable states keep sum_l (Delta J_l)^2 >= N/2
+
+    The k-producible pair is computed once per k and read by both the
+    per-axis rows and the spectral rows. Only the spectral rungs carry k > 0:
+    trace == sum and top >= peak, so up to rounding they fire whenever a
+    per-axis form of the same rung does.
     """
     n = _check_n(n_qubits)
-    sep_sum, sep_single = bound_separable_sum(n), bound_separable_single(n)
-    rungs = [
-        Rung("separable_sum", sep_sum, "sum", "entangled"),
-        Rung("separable_single", sep_single, "peak", "entangled"),
-        Rung("sum_ceiling", bound_max_sum(n), "sum", None),
-    ]
+    kprod = {}
     for k in range(2, n):
+        blocks, rem = divmod(n, k)
+        tail = 2 if rem == 1 else rem * (rem + 2)
+        kprod[k] = float(blocks * k * k + rem * rem), float(blocks * k * (k + 2) + tail)
+    rungs = [Rung("separable_sum", 2.0 * n, "sum", "entangled"),
+             Rung("separable_single", float(n), "peak", "entangled"),
+             Rung("sum_ceiling", float(n * (n + 2)), "sum", None)]
+    for k, (single, total) in kprod.items():
         implication = f"not_{k}_producible"
-        rungs += [Rung(f"kprod_single_k{k}", bound_kprod_single(n, k), "peak", implication),
-                  Rung(f"kprod_sum_k{k}", bound_kprod_sum(n, k), "sum", implication)]
+        rungs += [Rung(f"kprod_single_k{k}", single, "peak", implication),
+                  Rung(f"kprod_sum_k{k}", total, "sum", implication)]
     if n >= 2:
-        single_b, sum_b = bounds_biseparable(n)
-        rungs += [Rung("biseparable_single", single_b, "peak", "genuine_multipartite"),
-                  Rung("biseparable_sum", sum_b, "sum", "genuine_multipartite")]
-    rungs += [Rung(f"unentangled_m{m}", bound_unentangled(n, m), "sum",
+        rungs += [Rung("biseparable_single", float((n - 1) ** 2 + 1), "peak",
+                       "genuine_multipartite"),
+                  Rung("biseparable_sum", float(n * n + 1), "sum", "genuine_multipartite")]
+    rungs += [Rung(f"unentangled_m{m}", float(m + (n - m) * (n - m + 2)), "sum",
                    f"fewer_than_{m}_unentangled") for m in range(1, n + 1)]
     rungs += [_variance_rung(n),
-              Rung("spectral_trace_separable", sep_sum, "trace", "entangled", k=1),
-              Rung("spectral_max_separable", sep_single, "top", "entangled", k=1)]
-    for k in range(2, n):
+              Rung("spectral_trace_separable", 2.0 * n, "trace", "entangled", k=1),
+              Rung("spectral_max_separable", float(n), "top", "entangled", k=1)]
+    for k, (single, total) in kprod.items():
         implication = "genuine_multipartite" if k == n - 1 else f"not_{k}_producible"
-        rungs += [Rung(f"spectral_trace_kprod_k{k}", bound_kprod_sum(n, k), "trace",
-                       implication, k),
-                  Rung(f"spectral_max_kprod_k{k}", bound_kprod_single(n, k), "top",
-                       implication, k)]
+        rungs += [Rung(f"spectral_trace_kprod_k{k}", total, "trace", implication, k),
+                  Rung(f"spectral_max_kprod_k{k}", single, "top", implication, k)]
     return rungs
 
 
@@ -203,7 +164,7 @@ def variance_criterion(state: QuantumState, tol: float = TOL_VIOLATION) -> Crite
 def spectral_criteria(qmat: QfiMatrix, n_qubits: int, k: int,
                       tol: float = TOL_VIOLATION) -> List[CriterionReport]:
     """Rotation-invariant forms: the separable rungs and the k-producible rung."""
-    n = _check_n(n_qubits)
+    n, k = _check_n(n_qubits), _integer(k, "k")
     if not 1 <= k < n:
         raise ValidationError(f"k={k} out of range 1..{n - 1}")
     stats = _qfi_statistics(qmat)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .collective import IDENTITY_2, check_axis, check_direction, j_direction
 from .errors import ValidationError
-from .matcore import eigh, herm_exp
+from .matcore import check_qubits, eigh, herm_exp
 from .states import BASIS_ROTATION, QuantumState, _pure_state, _with_noise, apply_local_unitary
 
 FD_STEP = 1e-4
@@ -87,6 +87,7 @@ class Measurement:
         """The -1 and +1 eigenspaces of sigma_axis^(x N): in the sigma_axis
         eigenbasis of every qubit, index i has eigenvalue (-1)^popcount(i)."""
         check_axis(axis)
+        check_qubits(n_qubits)
         odd = np.bitwise_count(np.arange(2 ** n_qubits)) % 2
         return cls(np.where(odd, -1, 1), BASIS_ROTATION.get(axis, IDENTITY_2))
 
@@ -94,11 +95,13 @@ class Measurement:
     def collective(cls, direction, n_qubits: int) -> "Measurement":
         """The eigenspaces of J_n in ascending order: popcount in the eigenbasis
         of n.sigma/2 (eigenvalues ascending) of every qubit."""
+        check_qubits(n_qubits)
         return cls(np.bitwise_count(np.arange(2 ** n_qubits)),
                    eigh(j_direction(direction, 1)).vectors)
 
     @classmethod
     def computational(cls, n_qubits: int) -> "Measurement":
+        check_qubits(n_qubits)
         return cls(np.arange(2 ** n_qubits))
 
     def probabilities(self, state: QuantumState) -> np.ndarray:

@@ -479,8 +479,9 @@ def mix(states: Sequence[QuantumState], weights) -> QuantumState:
     weights = np.asarray(weights, dtype=float)
     if len(states) != len(weights) or len(states) == 0:
         raise ValidationError("mix needs matching, nonempty states and weights")
-    if np.any(weights < -1e-12) or abs(float(weights.sum()) - 1.0) > 1e-10:
-        raise ValidationError("mixture weights must be nonnegative and sum to 1")
+    # negated, so that a NaN or infinite weight fails the check too
+    if not (np.all(weights >= -1e-12) and abs(float(weights.sum()) - 1.0) <= 1e-10):
+        raise ValidationError("mixture weights must be finite, nonnegative and sum to 1")
     n = states[0].n_qubits
     if any(s.n_qubits != n for s in states):
         raise ValidationError("all mixture components must share n_qubits")

@@ -20,11 +20,15 @@ def singlet_pairs(pairs: int):
 
 # ------------------------------------------------------------ bound tables
 
+def bounds(n):
+    return {rung.criterion_id: rung.bound for rung in criteria.ladder(n)}
+
+
 def test_separable_bounds():
-    assert criteria.bound_separable_sum(4) == 8.0
-    assert criteria.bound_separable_sum(6) == 12.0
-    assert criteria.bound_separable_single(6) == 6.0
-    assert criteria.bound_max_sum(6) == 48.0
+    assert bounds(4)["separable_sum"] == 8.0
+    assert bounds(6)["separable_sum"] == bounds(6)["spectral_trace_separable"] == 12.0
+    assert bounds(6)["separable_single"] == bounds(6)["spectral_max_separable"] == 6.0
+    assert bounds(6)["sum_ceiling"] == 48.0
 
 
 @pytest.mark.parametrize("n,k,single,total", [
@@ -37,8 +41,9 @@ def test_separable_bounds():
     (8, 4, 32.0, 48.0),
 ])
 def test_producibility_bound_table(n, k, single, total):
-    assert criteria.bound_kprod_single(n, k) == single
-    assert criteria.bound_kprod_sum(n, k) == total
+    b = bounds(n)
+    assert b[f"kprod_single_k{k}"] == b[f"spectral_max_kprod_k{k}"] == single
+    assert b[f"kprod_sum_k{k}"] == b[f"spectral_trace_kprod_k{k}"] == total
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
@@ -49,47 +54,66 @@ def test_biseparable_equals_single_block_maximization(n):
         rem = n - k
         best_single = max(best_single, k ** 2 + rem ** 2)
         best_sum = max(best_sum, k * (k + 2) + (2 if rem == 1 else rem * (rem + 2)))
-    assert criteria.bounds_biseparable(n) == (best_single, best_sum)
+    b = bounds(n)
+    assert (b["biseparable_single"], b["biseparable_sum"]) == (best_single, best_sum)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
 def test_biseparable_equals_top_producibility_rung(n):
     # for N >= 3 the maximum sits at k = N-1, where floor packing has one block
-    assert criteria.bounds_biseparable(n) == (
-        criteria.bound_kprod_single(n, n - 1),
-        criteria.bound_kprod_sum(n, n - 1))
+    b = bounds(n)
+    assert (b["biseparable_single"], b["biseparable_sum"]) == (
+        b[f"kprod_single_k{n - 1}"], b[f"kprod_sum_k{n - 1}"])
 
 
 def test_biseparable_frozen_values():
-    assert criteria.bounds_biseparable(6) == (26.0, 37.0)
-    assert criteria.bounds_biseparable(4) == (10.0, 17.0)
+    for n, expected in ((6, (26.0, 37.0)), (4, (10.0, 17.0))):
+        assert (bounds(n)["biseparable_single"], bounds(n)["biseparable_sum"]) == expected
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
 def test_bounds_monotone_in_k(n):
-    sums = [criteria.bound_kprod_sum(n, k) for k in range(1, n)]
-    singles = [criteria.bound_kprod_single(n, k) for k in range(1, n)]
-    assert all(b >= a for a, b in zip(sums, sums[1:]))
-    assert all(b >= a for a, b in zip(singles, singles[1:]))
+    # the depth rungs, k = 1 (separable) to N - 1, in table order
+    for statistic in ("trace", "top"):
+        rows = [r for r in criteria.ladder(n) if r.k > 0 and r.statistic == statistic]
+        assert [r.k for r in rows] == list(range(1, n))
+        assert all(b.bound >= a.bound for a, b in zip(rows, rows[1:]))
 
 
 def test_unentangled_bound_formula():
-    assert criteria.bound_unentangled(6, 1) == 1 + 5 * 7
-    assert criteria.bound_unentangled(6, 6) == 6.0
-    assert criteria.bound_unentangled(4, 2) == 2 + 2 * 4
-    with pytest.raises(ValidationError):
-        criteria.bound_unentangled(4, 5)
+    assert bounds(6)["unentangled_m1"] == 1 + 5 * 7
+    assert bounds(6)["unentangled_m6"] == 6.0
+    assert bounds(4)["unentangled_m2"] == 2 + 2 * 4
+    assert [i for i in bounds(4) if i.startswith("unentangled_m")] == [
+        "unentangled_m1", "unentangled_m2", "unentangled_m3", "unentangled_m4"]
 
 
 def test_bound_argument_validation():
-    with pytest.raises(ValidationError):
-        criteria.bound_kprod_sum(4, 0)
-    with pytest.raises(ValidationError):
-        criteria.bound_kprod_sum(4, 5)
-    with pytest.raises(ValidationError):
-        criteria.bound_separable_sum(0)
-    with pytest.raises(ValidationError, match="n_qubits >= 2"):
-        criteria.bounds_biseparable(1)
+    with pytest.raises(ValidationError, match="n_qubits must be positive"):
+        criteria.ladder(0)
+    # k-producible rows exist for k = 2 .. N-1 only, biseparable ones for N >= 2
+    assert sorted(i for i in bounds(4) if i.startswith("kprod_")) == [
+        "kprod_single_k2", "kprod_single_k3", "kprod_sum_k2", "kprod_sum_k3"]
+    assert not any(i.startswith("biseparable_") for i in bounds(1))
+    q = qfi.qfi_matrix(states.ghz(6))
+    assert criteria.ladder(np.int64(6)) == criteria.ladder(6)
+    assert criteria.spectral_criteria(q, np.int64(6), np.int64(2)) \
+        == criteria.spectral_criteria(q, 6, 2)
+
+
+@pytest.mark.parametrize("call", [
+    lambda q: criteria.ladder(2.5),
+    lambda q: criteria.ladder(True),
+    lambda q: criteria.ladder(6.0),
+    lambda q: criteria.spectral_criteria(q, 6, 2.5),
+    lambda q: criteria.spectral_criteria(q, 6, True),
+    lambda q: criteria.spectral_criteria(q, 6.5, 2),
+], ids=["n=2.5", "n=True", "n=6.0", "k=2.5", "k=True", "spectral-n=6.5"])
+def test_sizes_must_be_integers(call):
+    # int() would truncate these: ladder(2.5) would be ladder(2), and k = 2.5
+    # would return only the two k = 1 rows
+    with pytest.raises(ValidationError, match="must be an integer"):
+        call(qfi.qfi_matrix(states.ghz(6)))
 
 
 # ------------------------------------------------------------ variance floor
@@ -227,10 +251,27 @@ def test_depth_witness_at_k1_is_a_row():
     assert row.violated and row.value == cert.witness_value
 
 
-def _spectral_k(criterion_id):
-    if criterion_id.endswith("_separable"):
-        return 1
-    return int(criterion_id.rsplit("_k", 1)[1])
+def _rung_k(criterion_id, n):
+    """Largest k whose k-producible N-qubit states all respect the row; the
+    separable rows and the variance floor hold for k = 1 only."""
+    if criterion_id == "sum_ceiling":
+        return n
+    if criterion_id.startswith("biseparable_"):
+        return n - 1
+    if "kprod_" in criterion_id:
+        return int(criterion_id.rsplit("_k", 1)[1])
+    return 1
+
+
+def test_rung_parser_reads_every_kproducible_id():
+    ids = [r.criterion_id for r in criteria.ladder(6)]
+    for k in range(2, 6):
+        for fmt in ("kprod_single_k{}", "kprod_sum_k{}",
+                    "spectral_trace_kprod_k{}", "spectral_max_kprod_k{}"):
+            assert fmt.format(k) in ids and _rung_k(fmt.format(k), 6) == k
+    assert _rung_k("kprod_sum_k3", 6) == 3
+    assert _rung_k("biseparable_sum", 6) == 5
+    assert _rung_k("spectral_trace_separable", 6) == 1
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
@@ -239,7 +280,7 @@ def test_depth_is_one_plus_largest_violated_spectral_rung(n, mixed, seed):
     rng = np.random.default_rng(seed)
     rho = helpers.ginibre_mixed(n, rng) if mixed else helpers.haar_pure(n, rng)
     reports, cert = criteria.evaluate_all(states.from_matrix(rho, n))
-    hit = {r.criterion_id: _spectral_k(r.criterion_id) for r in reports
+    hit = {r.criterion_id: _rung_k(r.criterion_id, n) for r in reports
            if r.violated and r.criterion_id.startswith("spectral_")}
     assert cert.depth_lower_bound == 1 + max(hit.values(), default=0)
     if cert.depth_lower_bound == 1:
@@ -353,18 +394,24 @@ def test_separable_mixtures_violate_nothing(n):
         assert cert.depth_lower_bound == 1
 
 
-@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7])
 def test_kproducible_mixtures_respect_their_rung(k):
-    rng = np.random.default_rng(2000 + k)
-    n = 6
-    for _ in range(6):
-        rho = helpers.kproducible_mixture(n, k, rng)
-        reports, _ = criteria.evaluate_all(states.from_matrix(rho, n))
-        for rep in reports:
-            for kk in range(k, n):
-                assert not (rep.criterion_id.endswith(f"_k{kk}") and rep.violated), \
-                    rep.criterion_id
-            assert not (rep.criterion_id.startswith("biseparable") and rep.violated)
+    # Every row but the unentangled_m sweep, for N = k+1 .. 8: k = 1 draws
+    # separable mixtures and k = N-1 biseparable ones. The unentangled_m rows
+    # fire on states that do have M unentangled qubits (the 4-qubit product
+    # |0000> violates unentangled_m3 and unentangled_m4), and mending them
+    # moves the analyze output, so they wait for that change.
+    for n in range(k + 1, 9):
+        rng = np.random.default_rng([2000, n, k])
+        for _ in range(4):
+            rho = (helpers.separable_mixture(n, rng) if k == 1
+                   else helpers.kproducible_mixture(n, k, rng))
+            reports, cert = criteria.evaluate_all(states.from_matrix(rho, n))
+            assert cert.depth_lower_bound <= k
+            for rep in reports:
+                if not rep.criterion_id.startswith("unentangled_m"):
+                    assert not (rep.violated and _rung_k(rep.criterion_id, n) >= k), \
+                        (n, rep.criterion_id)
 
 
 # ------------------------------------------------------------ tightness
@@ -378,14 +425,52 @@ ZERO = np.array([1.0, 0.0], dtype=complex)
 PLUS_X = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2)
 
 
-@pytest.mark.parametrize("kets,triple,met", [
-    ((helpers.ghz_ket(3), helpers.ghz_ket(3)), (6, 6, 18),
-     {"kprod_single_k3": 18.0, "kprod_sum_k3": 30.0}),
-    ((helpers.ghz_ket(5), ZERO), (6, 6, 25), {"biseparable_sum": 37.0}),
-    ((helpers.ghz_ket(5), PLUS_X), (5, 6, 26),
-     {"biseparable_single": 26.0, "biseparable_sum": 37.0}),
-], ids=["ghz3-ghz3", "ghz5-zero", "ghz5-plusx"])
-def test_bounds_are_attained_by_ghz_blocks(kets, triple, met):
+def _ghz_triple(k):
+    """(F_x, F_y, F_z) of GHZ_k: GHZ_1 is |+x>, GHZ_2 a Bell pair."""
+    return {1: (0, 1, 1), 2: (4, 0, 4)}.get(k, (k, k, k * k))
+
+
+def _ghz_block_witnesses():
+    """GHZ_k^(x n) (x) GHZ_r, N = n k + r, for N = 2..8 and k = 1..N, with the
+    rows it meets: its Fisher sum and peak are the k-producible optimum, the
+    r = 1 tail being one pure qubit. k = 1 is the pure product |+x>^N, k = N
+    is GHZ_N. At N = 2 biseparable is separable, so no state reaches the
+    biseparable sum N^2 + 1 = 5: the best is 2N = 4, a gap of 1."""
+    cases = []
+    for n in range(2, 9):
+        for k in range(1, n + 1):
+            blocks, rem = divmod(n, k)
+            sizes = [k] * blocks + ([rem] if rem else [])
+            triple = tuple(map(sum, zip(*map(_ghz_triple, sizes))))
+            peak, total = float(max(triple)), float(sum(triple))
+            if k == 1:
+                met = {"separable_single": peak, "separable_sum": total,
+                       "spectral_max_separable": peak, "spectral_trace_separable": total,
+                       "variance_floor": n / 2}
+            elif k < n:
+                met = {f"kprod_single_k{k}": peak, f"kprod_sum_k{k}": total,
+                       f"spectral_max_kprod_k{k}": peak, f"spectral_trace_kprod_k{k}": total}
+            else:
+                met = {"sum_ceiling": total}
+            gaps = {}
+            if k == n - 1:
+                met.update(biseparable_single=peak, biseparable_sum=total)
+            if n == 2 and k == 1:
+                gaps = {"biseparable_sum": (5.0, met.pop("biseparable_sum"))}
+            cases.append(pytest.param([helpers.ghz_ket(s) for s in sizes], triple, met, gaps,
+                                      id=f"n{n}-ghz{k}"))
+    return cases
+
+
+@pytest.mark.parametrize("kets,triple,met,gaps", [
+    pytest.param((helpers.ghz_ket(3), helpers.ghz_ket(3)), (6, 6, 18),
+                 {"kprod_single_k3": 18.0, "kprod_sum_k3": 30.0}, {}, id="ghz3-ghz3"),
+    pytest.param((helpers.ghz_ket(5), ZERO), (6, 6, 25), {"biseparable_sum": 37.0}, {},
+                 id="ghz5-zero"),
+    pytest.param((helpers.ghz_ket(5), PLUS_X), (5, 6, 26),
+                 {"biseparable_single": 26.0, "biseparable_sum": 37.0}, {}, id="ghz5-plusx"),
+] + _ghz_block_witnesses())
+def test_bounds_are_attained_by_ghz_blocks(kets, triple, met, gaps):
     state = _block_state(*kets)
     np.testing.assert_allclose(qfi.fisher_triple(state), triple, atol=1e-9)
     reports, _ = criteria.evaluate_all(state)
@@ -395,3 +480,7 @@ def test_bounds_are_attained_by_ghz_blocks(kets, triple, met):
         assert rep.bound == bound
         assert rep.value == pytest.approx(bound, abs=1e-9)
         assert not rep.violated
+    for criterion_id, (bound, best) in gaps.items():
+        rep = by_id[criterion_id]
+        assert rep.bound == bound
+        assert rep.value == pytest.approx(best, abs=1e-9)

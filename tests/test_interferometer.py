@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from spinqfi import interferometer as itf
 from spinqfi import collective, criteria, qfi, states
-from spinqfi.errors import ValidationError
+from spinqfi.errors import DimensionCapError, ValidationError
 
 import helpers
 
@@ -61,6 +61,22 @@ def test_computational_measurement():
     assert len(m.projectors) == 4
     total = sum(m.projectors)
     np.testing.assert_allclose(total, np.eye(4), atol=1e-12)
+
+
+@pytest.mark.parametrize("build", [
+    lambda n: itf.Measurement.parity("x", n),
+    lambda n: itf.Measurement.collective((0.0, 0.0, 1.0), n),
+    itf.Measurement.computational,
+], ids=["parity", "collective", "computational"])
+@pytest.mark.parametrize("n,error,message", [
+    (13, DimensionCapError, "exceeds cap"),
+    (0, ValidationError, "n_qubits must be positive"),
+    (-1, ValidationError, "n_qubits must be positive"),
+])
+def test_measurement_constructors_check_the_register_size(build, n, error, message):
+    # the same cap as every state constructor, checked before 2^N labels exist
+    with pytest.raises(error, match=message):
+        build(n)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

@@ -198,6 +198,13 @@ def test_mix_builds_convex_combination():
         states.mix([a, b], [1.0])
 
 
+@pytest.mark.parametrize("weights", [[math.nan, math.nan], [math.nan, 1.0], [math.inf, 0.0],
+                                     [1.0, math.inf]], ids=["nan-nan", "nan-1", "inf-0", "1-inf"])
+def test_mix_rejects_non_finite_weights(weights):
+    with pytest.raises(ValidationError, match="finite"):
+        states.mix([states.ghz(2), states.dicke(2, 1)], weights)
+
+
 def test_pure_spectrum_rank_one_and_orthonormal():
     rng = np.random.default_rng(7)
     st = states.dicke_superposition(rng.normal(size=3) + 1j * rng.normal(size=3), 4)
