@@ -15,11 +15,11 @@ certificate off the rows it reports.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .errors import ValidationError
+from .matcore import check_integer
 from .qfi import QfiMatrix, collective_variances, qfi_matrix
 from .states import QuantumState
 
@@ -77,16 +77,8 @@ class Rung:
                                violated, self.implication if violated else None, self.direction)
 
 
-def _integer(value, name: str) -> int:
-    """value as an int. Any integer type but bool passes (np.int64 too); a float
-    or bool is refused, as int() would read 2.5 as 2 and True as 1."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 def _check_n(n_qubits: int) -> int:
-    n = _integer(n_qubits, "n_qubits")
+    n = check_integer(n_qubits, "n_qubits")
     if n < 1:
         raise ValidationError("n_qubits must be positive")
     return n
@@ -95,47 +87,51 @@ def _check_n(n_qubits: int) -> int:
 def ladder(n_qubits: int) -> List[Rung]:
     """Every bound for N qubits, in report order; each formula is stated here once.
 
-    * separable states:      sum_l F_Q <= 2N   and   F_Q[J_l] <= N
-    * any state:             sum_l F_Q <= N(N+2)
     * k-producible states:   with N = n k + r (divmod), F_Q[J_l] <= n k^2 + r^2
-                             and sum_l F_Q <= n k (k+2) + r (r+2), where a
-                             single leftover qubit (r = 1) tightens the tail
-                             term to 2: r(r+2) is the r-qubit ceiling for
-                             r >= 2, and one pure qubit reaches only 2
-    * biseparable states:    F_Q[J_l] <= (N-1)^2 + 1,  sum_l F_Q <= N^2 + 1
-                             (not attained at N = 2, where biseparable is
-                             separable and the sum reaches only 2N = 4)
+                             and sum_l F_Q <= n c(k) + c(r), where c(m) =
+                             m(m+2) caps the sum of one m-qubit block, except
+                             that one pure qubit reaches only c(1) = 2 (c(0) = 0)
+    * separable states:      the k = 1 pair: F_Q[J_l] <= N and sum_l F_Q <= 2N
+    * biseparable states:    the k = N-1 pair: F_Q[J_l] <= (N-1)^2 + 1 and
+                             sum_l F_Q <= N^2 + 1, or 2 and 4 at N = 2, where
+                             biseparable is separable
+    * any state:             sum_l F_Q <= N(N+2)
     * >= M unentangled:      sum_l F_Q <= M + (N-M)(N-M+2)
     * variance floor:        separable states keep sum_l (Delta J_l)^2 >= N/2
 
-    The k-producible pair is computed once per k and read by both the
-    per-axis rows and the spectral rows. Only the spectral rungs carry k > 0:
+    The separable, per-axis k-producible, biseparable and spectral rows all
+    read the one k-producible pair. Only the spectral rungs carry k > 0:
     trace == sum and top >= peak, so up to rounding they fire whenever a
     per-axis form of the same rung does.
     """
     n = _check_n(n_qubits)
-    kprod = {}
-    for k in range(2, n):
+
+    def ceiling(m: int) -> int:
+        return 2 if m == 1 else m * (m + 2)
+
+    def pair(k: int) -> Tuple[float, float]:
         blocks, rem = divmod(n, k)
-        tail = 2 if rem == 1 else rem * (rem + 2)
-        kprod[k] = float(blocks * k * k + rem * rem), float(blocks * k * (k + 2) + tail)
-    rungs = [Rung("separable_sum", 2.0 * n, "sum", "entangled"),
-             Rung("separable_single", float(n), "peak", "entangled"),
+        return float(blocks * k * k + rem * rem), float(blocks * ceiling(k) + ceiling(rem))
+
+    sep_single, sep_sum = pair(1)
+    kprod = [(k, *pair(k)) for k in range(2, n)]
+    rungs = [Rung("separable_sum", sep_sum, "sum", "entangled"),
+             Rung("separable_single", sep_single, "peak", "entangled"),
              Rung("sum_ceiling", float(n * (n + 2)), "sum", None)]
-    for k, (single, total) in kprod.items():
+    for k, single, total in kprod:
         implication = f"not_{k}_producible"
         rungs += [Rung(f"kprod_single_k{k}", single, "peak", implication),
                   Rung(f"kprod_sum_k{k}", total, "sum", implication)]
     if n >= 2:
-        rungs += [Rung("biseparable_single", float((n - 1) ** 2 + 1), "peak",
-                       "genuine_multipartite"),
-                  Rung("biseparable_sum", float(n * n + 1), "sum", "genuine_multipartite")]
+        single, total = pair(n - 1)
+        rungs += [Rung("biseparable_single", single, "peak", "genuine_multipartite"),
+                  Rung("biseparable_sum", total, "sum", "genuine_multipartite")]
     rungs += [Rung(f"unentangled_m{m}", float(m + (n - m) * (n - m + 2)), "sum",
                    f"fewer_than_{m}_unentangled") for m in range(1, n + 1)]
     rungs += [_variance_rung(n),
-              Rung("spectral_trace_separable", 2.0 * n, "trace", "entangled", k=1),
-              Rung("spectral_max_separable", float(n), "top", "entangled", k=1)]
-    for k, (single, total) in kprod.items():
+              Rung("spectral_trace_separable", sep_sum, "trace", "entangled", k=1),
+              Rung("spectral_max_separable", sep_single, "top", "entangled", k=1)]
+    for k, single, total in kprod:
         implication = "genuine_multipartite" if k == n - 1 else f"not_{k}_producible"
         rungs += [Rung(f"spectral_trace_kprod_k{k}", total, "trace", implication, k),
                   Rung(f"spectral_max_kprod_k{k}", single, "top", implication, k)]
@@ -164,7 +160,7 @@ def variance_criterion(state: QuantumState, tol: float = TOL_VIOLATION) -> Crite
 def spectral_criteria(qmat: QfiMatrix, n_qubits: int, k: int,
                       tol: float = TOL_VIOLATION) -> List[CriterionReport]:
     """Rotation-invariant forms: the separable rungs and the k-producible rung."""
-    n, k = _check_n(n_qubits), _integer(k, "k")
+    n, k = _check_n(n_qubits), check_integer(k, "k")
     if not 1 <= k < n:
         raise ValidationError(f"k={k} out of range 1..{n - 1}")
     stats = _qfi_statistics(qmat)

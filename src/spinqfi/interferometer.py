@@ -3,11 +3,11 @@ against the quantum Cramer-Rao bound.
 
 The phase map rho -> exp(-i theta J_n) rho exp(+i theta J_n) rotates each
 qubit and a measurement is a basis change plus outcome labels, so no 2^N x 2^N
-projector is formed. A pure state is rotated as a vector. A white-noise mix is
-rotated as its base, then each weight p maps rho to p rho + (1 - p) 1/d, since
-1/d is rotation invariant with populations 1/d; no dense rho is built for it,
-and over a pure base its F_Q is the base's scaled (qfi.qfi_direction), so
-`crb` on such a mix costs what the pure base costs.
+projector is formed. A pure state is rotated as a vector. A white-noise mix
+(states.white_noise_mix, a base and one weight p) is rotated as its base and
+keeps p, since 1/d is rotation invariant with populations 1/d; no dense rho is
+built for it, and over a pure base its F_Q is the base's scaled
+(qfi.qfi_direction), so `crb` on such a mix costs what the pure base costs.
 Classical Fisher information comes from central finite differences of the
 outcome probabilities; outcomes below a probability floor are excluded
 (their derivative contribution is dropped and counted).
@@ -23,7 +23,7 @@ import numpy as np
 from .collective import IDENTITY_2, check_axis, check_direction, j_direction
 from .errors import ValidationError
 from .matcore import check_qubits, eigh, herm_exp
-from .states import BASIS_ROTATION, QuantumState, _pure_state, _with_noise, apply_local_unitary
+from .states import BASIS_ROTATION, QuantumState, _pure_state, apply_local_unitary
 
 FD_STEP = 1e-4
 P_FLOOR = 1e-12
@@ -106,11 +106,11 @@ class Measurement:
 
     def probabilities(self, state: QuantumState) -> np.ndarray:
         """Tr(P_k rho) per outcome: populations in the basis B, binned by label."""
-        base, weights = state.noise or (state, ())
+        base, p = state.noise or (state, None)
         out = _rotate(base, self.basis.conj().T)
         pops = np.abs(out) ** 2 if base.is_pure else np.diagonal(out).real
         probs = np.bincount(self._outcome_of, weights=pops, minlength=len(self.outcomes))
-        for p in weights:
+        if p is not None:
             probs = p * probs + (1.0 - p) * np.bincount(self._outcome_of) / self.dim
         return probs
 
@@ -135,12 +135,12 @@ def evolve(state: QuantumState, setting: PhaseSetting) -> QuantumState:
 
 
 def _conjugate(state: QuantumState, u: np.ndarray) -> QuantumState:
-    """U rho U^dagger for U = u on every qubit; a white-noise mix keeps its weights."""
-    base, weights = state.noise or (state, ())
+    """U rho U^dagger for U = u on every qubit; a white-noise mix keeps its weight."""
+    base, p = state.noise or (state, None)
     out = _rotate(base, u)
-    if base.is_pure:
-        return _with_noise(_pure_state(out, state.n_qubits), weights)
-    return _with_noise(QuantumState((out + out.conj().T) / 2.0, state.n_qubits), weights)
+    out = (_pure_state(out, state.n_qubits) if base.is_pure
+           else QuantumState((out + out.conj().T) / 2.0, state.n_qubits))
+    return out if p is None else QuantumState(None, state.n_qubits, noise=(out, p))
 
 
 def classical_fisher_report(state: QuantumState, setting: PhaseSetting,

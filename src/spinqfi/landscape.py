@@ -26,8 +26,8 @@ import numpy as np
 
 from . import states
 from .errors import NumericalError, ValidationError
-from .matcore import check_qubits
-from .qfi import fisher_triple, qfi_matrix
+from .matcore import check_integer, check_qubits
+from .qfi import fisher_triple, noise_scale, noise_weight_for_scale, qfi_matrix
 from .states import EPS_RANK, QuantumState, StateSpec
 
 MEMBERSHIP_TOL = 1e-8
@@ -98,7 +98,7 @@ def _landmarks(n: int) -> Dict[str, Tuple[StateSpec, np.ndarray]]:
 
 def landmark_points(n_qubits: int) -> Dict[str, FisherPoint]:
     """Tabulated landscape coordinates for the reference families (N even)."""
-    n = int(n_qubits)
+    n = check_integer(n_qubits, "n_qubits")
     if n < 2 or n % 2 != 0:
         raise ValidationError("landmark_points requires even n_qubits >= 2")
     return {key: FisherPoint(point, provenance=spec)
@@ -106,7 +106,8 @@ def landmark_points(n_qubits: int) -> Dict[str, FisherPoint]:
 
 
 def landmark_specs(n_qubits: int) -> Dict[str, StateSpec]:
-    return {key: spec for key, (spec, _) in _landmarks(int(n_qubits)).items()}
+    n = check_integer(n_qubits, "n_qubits")
+    return {key: spec for key, (spec, _) in _landmarks(n).items()}
 
 
 def landmark_states(n_qubits: int) -> Dict[str, QuantumState]:
@@ -204,7 +205,7 @@ def product_state_for_point(q, n_qubits: int) -> QuantumState:
     coefficients follow from c_l^2 = 1 - q_l / N.
     """
     q = _coordinates(q)
-    n = int(n_qubits)
+    n = check_integer(n_qubits, "n_qubits")
     if n % 2 != 0 or n < 2:
         raise ValidationError("product_state_for_point requires even n_qubits")
     tol = MEMBERSHIP_TOL
@@ -213,23 +214,6 @@ def product_state_for_point(q, n_qubits: int) -> QuantumState:
     c = np.sqrt(np.clip(1.0 - q / n, 0.0, 1.0))
     c /= float(np.linalg.norm(c))
     return states.product_bloch(c, n)
-
-
-def noise_scale(p: float, n_qubits: int) -> float:
-    """QFI-matrix scale factor of mixing a pure state with white noise."""
-    if not 0.0 <= p <= 1.0:
-        raise ValidationError(f"noise weight p={p} out of [0, 1]")
-    c = 2.0 ** (-(n_qubits - 1))
-    return p * p / (p + (1.0 - p) * c)
-
-
-def noise_weight_for_scale(s: float, n_qubits: int) -> float:
-    """Inverse of noise_scale on [0, 1]."""
-    if not 0.0 <= s <= 1.0 + 1e-12:
-        raise ValidationError(f"scale {s} out of [0, 1]")
-    s = min(s, 1.0)
-    c = 2.0 ** (-(n_qubits - 1))
-    return (s * (1.0 - c) + math.sqrt(s * s * (1.0 - c) ** 2 + 4.0 * s * c)) / 2.0
 
 
 def _realize_in_cone(q, n_qubits: int, plane, polytope: str, plane_state) -> QuantumState:
@@ -273,7 +257,7 @@ def sample_dicke_plane(n_qubits: int, count: int, seed: int) -> List[FisherPoint
     """Random balanced-Dicke superpositions, amplitudes drawn with uniform
     modulus and phase; every triple lands on the plane sum F = N(N+2).
     Deterministic under the seed."""
-    n = int(n_qubits)
+    n = check_integer(n_qubits, "n_qubits")
     if n % 4 != 0:
         raise ValidationError("sample_dicke_plane requires N divisible by 4")
     rng = np.random.default_rng(seed)
@@ -324,7 +308,7 @@ def noise_line(state: QuantumState, p_grid: Sequence[float],
     return NoiseLineResult(entries=tuple(entries), max_residual=worst)
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=8, typed=True)  # typed, so that 8.0 is checked rather than read as 8
 def _dicke_plane_model(n_qubits: int) -> Tuple[np.ndarray, np.ndarray]:
     """(G, M) of the balanced-Dicke family, on the N + 1 symmetric Dicke states
     |D_k> (k excitations): J_z = diag(N/2 - k), <D_{k-1}|J_+|D_k> =
@@ -332,7 +316,7 @@ def _dicke_plane_model(n_qubits: int) -> Tuple[np.ndarray, np.ndarray]:
     are the null vectors of J_x, J_y, phased so that their |D_0> amplitude is
     positive, as states.dicke(n, n/2, "x"|"y") has them. G = D^H D and M[l] = 4 (J_l D)^H (J_l D);
     D^H J_l D vanishes, so a G-unit a has F_l = a^H M_l a. Read-only."""
-    n = int(n_qubits)
+    n = check_integer(n_qubits, "n_qubits")
     check_qubits(n)
     if n % 4 != 0:
         raise ValidationError("the Dicke-plane family requires N divisible by 4")
@@ -400,7 +384,7 @@ class ClosedFormReport:
 def closed_form_check(alpha, n_qubits: int) -> ClosedFormReport:
     """Closed form against the direct QFI matrix for one superposition.
     q_value is <D_x|J_y^2|D_z> = M_y[x, z] / 4."""
-    n = int(n_qubits)
+    n = check_integer(n_qubits, "n_qubits")
     forms = _dicke_plane_model(n)[1]
     norm_alpha = normalized_amplitudes(alpha, n)
     predicted = _triple_of(forms, norm_alpha)
@@ -454,7 +438,7 @@ def alpha_for_point(q, n_qubits: int) -> np.ndarray:
     NumericalError, though the family reaches part of the plane beyond it.
     """
     q = _coordinates(q)
-    n = int(n_qubits)
+    n = check_integer(n_qubits, "n_qubits")
     gram, forms = _dicke_plane_model(n)
     k = n * (n + 2) / 2.0
     if not np.all(np.isfinite(q)) or abs(float(q.sum()) - 2.0 * k) > 1e-6:
@@ -480,7 +464,7 @@ def realize_dicke_point(q, n_qubits: int, seed: int = 0) -> QuantumState:
     plus white noise. The inverse is deterministic, so seed is accepted for
     existing callers and ignored."""
     del seed
-    n = int(n_qubits)
+    n = check_integer(n_qubits, "n_qubits")
     return _realize_in_cone(
         q, n, n * (n + 2), "Dicke",
         lambda point: states.dicke_superposition(alpha_for_point(point, n), n))

@@ -13,6 +13,7 @@ numpy complex128 arrays; this module owns the numerical conventions:
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,10 +39,18 @@ def check_dim(dim: int, cap: int = DIM_CAP) -> None:
         raise DimensionCapError(f"dimension {dim} exceeds cap {cap}")
 
 
+def check_integer(value, name: str) -> int:
+    """value as an int. Any integer type but bool passes (np.int64 too); a float
+    or bool is refused, as int() would read 2.5 as 2 and True as 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def check_qubits(n_qubits: int, cap: int = DIM_CAP) -> None:
-    """n_qubits >= 1 and 2^n_qubits within check_dim's limit; a huge n fails
-    without forming 2^n."""
-    if n_qubits < 1:
+    """n_qubits an integer >= 1 and 2^n_qubits within check_dim's limit; a
+    huge n fails without forming 2^n."""
+    if check_integer(n_qubits, "n_qubits") < 1:
         raise ValidationError("n_qubits must be positive")
     cap = min(cap, DIM_CAP)
     if n_qubits > cap.bit_length():

@@ -17,14 +17,15 @@ only needs the support eigenvectors:
 with A_i = V^dag J_i V on the support and w_lm = 2 (lam_l - lam_m)^2 /
 (lam_l + lam_m). The second term drops out for full-rank states.
 
-qfi_direction reads a white-noise mix over a pure base psi off psi alone.
-The mix has eigenvalue lam = P + f on psi and f = (1 - P)/2^N on the rest, P
-the product of its weights, so only (lam, f) pairs enter the sum and F_Q[rho,
-J_n] = s F_Q[psi, J_n] with s = P^2 / (P + 2f); a floor f at or below the rank
-cutoff is dropped (s = lam), and lam at or below it leaves s = 0. qfi_matrix
-keeps the dense route for such mixes for now: the benchmark's reference
-stdout of `analyze` and `landscape noise_line` on them is pinned by sha256,
-and the closed form moves their last bits.
+White noise has one scale, stated here once. The mix rho = P psi psi^dag +
+(1 - P) 1/2^N of states.white_noise_mix has eigenvalue lam = P + f on psi and
+f = (1 - P)/2^N on the rest, so only (lam, f) pairs enter the sum and
+F_Q[rho, J_n] = s F_Q[psi, J_n] with s = noise_scale(P, N) = P^2 / (P + 2f);
+noise_weight_for_scale inverts it. qfi_direction reads such a mix off psi
+alone: a floor f at or below the rank cutoff is dropped (s = lam), and lam at
+or below it leaves s = 0. qfi_matrix keeps the dense route for such mixes for
+now: the benchmark's reference stdout of `analyze` and `landscape noise_line`
+on them is pinned by sha256, and the closed form moves their last bits.
 
 collective_variances gives the variances the criteria's variance floor sums.
 It reads only the diagonals of rho J and rho J^2 for x and y. A pure state
@@ -142,36 +143,43 @@ def fisher_triple(state: QuantumState, eps_rank: float = EPS_RANK) -> np.ndarray
 def qfi_direction(state: QuantumState, n, eps_rank: float = EPS_RANK) -> float:
     """F_Q[rho, J_n] = n^T M n.
 
-    A white-noise mix over a pure base psi is rho = P psi psi^dag + (1 - P) 1/d,
-    P the product of its weights: eigenvalue lam = P + f on psi and f = (1 - P)/d
-    on the d - 1 others. Only (lam, f) pairs enter the QFI sum, each ordered
-    pair weighted 2 (lam - f)^2 / (lam + f) = 2 P^2 / (P + 2f), and the sum over
-    the others of |<psi|J_n|k>|^2 is Var_psi(J_n) = F_Q[psi, J_n] / 4, so
-    F_Q[rho, J_n] = s F_Q[psi, J_n] with s = P^2 / (P + 2f), the base's value
-    read off its rank-one route. The cutoff applies as
-    QuantumState.support applies it: a floor f <= eps_rank is dropped, and the
-    completeness term leaves s = lam; lam <= eps_rank leaves 0. No spectrum,
-    Householder basis or rho is formed. Any other state runs qfi_matrix.
+    A white-noise mix over a pure base psi is noise_scale(P, N) times the
+    base's value, read off its rank-one route: each ordered (lam, f) pair is
+    weighted 2 (lam - f)^2 / (lam + f) = 2 P^2 / (P + 2f), and the sum over the
+    others of |<psi|J_n|k>|^2 is Var_psi(J_n) = F_Q[psi, J_n] / 4. The cutoff
+    applies as QuantumState.support applies it: a floor f <= eps_rank is
+    dropped, and the completeness term leaves s = lam; lam <= eps_rank leaves
+    0. No spectrum, Householder basis or rho is formed. Any other state runs
+    qfi_matrix.
     """
-    base, weights = state.noise or (state, ())
-    if not (weights and base.is_pure):
+    base, p = state.noise or (state, None)
+    if p is None or not base.is_pure:
         return qfi_matrix(state, eps_rank).direction(n)
     pure = qfi_matrix(base, eps_rank).direction(n)
-    return _white_noise_scale(weights, state.dim, eps_rank) * pure
-
-
-def _white_noise_scale(weights, dim: int, eps_rank: float) -> float:
-    """s in F_Q[rho] = s F_Q[psi] for white-noise weights over a pure base in
-    dimension dim; see qfi_direction. One weight gives landscape.noise_scale's
-    arithmetic."""
-    p = math.prod(weights)
-    floor = (1.0 - p) / dim
-    top = p + floor
-    if top <= eps_rank:
+    floor = (1.0 - p) / state.dim
+    if p + floor <= eps_rank:
         return 0.0
     if floor <= eps_rank:
-        return top
-    return p * p / (p + 2.0 * floor)
+        return (p + floor) * pure
+    return noise_scale(p, state.n_qubits) * pure
+
+
+def noise_scale(p: float, n_qubits: int) -> float:
+    """s = P^2 / (P + 2f), f = (1 - P)/2^N: the QFI-matrix scale factor of
+    mixing a pure state with white noise of weight p in [0, 1]."""
+    if not 0.0 <= p <= 1.0:
+        raise ValidationError(f"noise weight p={p} out of [0, 1]")
+    return p * p / (p + 2.0 * ((1.0 - p) * 0.5 ** n_qubits))
+
+
+def noise_weight_for_scale(s: float, n_qubits: int) -> float:
+    """Inverse of noise_scale on [0, 1]: the root p of p^2 = s (p + (1 - p) c),
+    c = 2f / (1 - P) = 2^(1 - N)."""
+    if not 0.0 <= s <= 1.0 + 1e-12:
+        raise ValidationError(f"scale {s} out of [0, 1]")
+    s = min(s, 1.0)
+    c = 2.0 ** (-(n_qubits - 1))
+    return (s * (1.0 - c) + math.sqrt(s * s * (1.0 - c) ** 2 + 4.0 * s * c)) / 2.0
 
 
 def variance(state: QuantumState, a) -> float:

@@ -2,8 +2,10 @@
 
 All constructors return an immutable QuantumState and refuse a register above
 matcore.DIM_CAP before they allocate; from_spec alone applies a caller's lower
-cap. A pure state holds its vector and a white-noise mix a pure or dense base and
-its weights p, innermost first; both build a dense rho only when first asked.
+cap. A pure state holds its vector. A white-noise mix is the one noise model of
+the package, p rho + (1 - p) 1/2^N: it holds its pure or dense base and one
+weight p, the product of every weight applied to that base, so a mix of a mix
+multiplies its weight in. Both build a dense rho only when first asked.
 completely_mixed, raw_matrix, mix and evolved mixed states hold their density
 matrix. A pure state's spectral decomposition is completed analytically (rank
 one) instead of running a full eigendecomposition of a 2^N matrix.
@@ -182,7 +184,7 @@ class StateSpec:
 
 class QuantumState:
     """An N-qubit state: a pure state holds its `vector`, a white-noise mix
-    `noise` = (base, weights), and any other state its density matrix `rho`.
+    `noise` = (base, p), and any other state its density matrix `rho`.
 
     Instances are immutable. The rho of a pure state or a mix is built on
     first use, and the spectrum at most once, both under a per-instance
@@ -207,9 +209,9 @@ class QuantumState:
     def rho(self) -> np.ndarray:
         with self._lock:
             if self._rho is None:
-                base, weights = self.noise or (self, ())  # not base.rho: it would cache a copy
+                base, p = self.noise or (self, None)  # not base.rho: it would cache a copy
                 rho = np.outer(base.vector, base.vector.conj()) if base.is_pure else base.rho
-                for p in weights:
+                if p is not None:
                     rho = p * rho + (1.0 - p) * np.eye(self.dim) / self.dim
                 self._rho = _frozen(rho)
             return self._rho
@@ -235,11 +237,10 @@ class QuantumState:
                 elif self.noise is None:
                     self._spectrum = eigh(self.rho)
                 else:
-                    base, weights = self.noise
-                    values, vectors = base.spectrum.values, base.spectrum.vectors
-                    for p in weights:
-                        values = p * values + (1.0 - p) / self.dim
-                    self._spectrum = SpectralDecomposition(values=values, vectors=vectors)
+                    base, p = self.noise
+                    self._spectrum = SpectralDecomposition(
+                        values=p * base.spectrum.values + (1.0 - p) / self.dim,
+                        vectors=base.spectrum.vectors)
             return self._spectrum
 
     def support(self, eps: float = EPS_RANK):
@@ -453,8 +454,9 @@ def completely_mixed(n_qubits: int) -> QuantumState:
 
 
 def white_noise_mix(inner: QuantumState, p: float, n_qubits: Optional[int] = None) -> QuantumState:
-    """p * inner + (1 - p) * identity / 2^N; a mix's weights gain p. n_qubits
-    is a check, not a setting: when given, it must be inner's."""
+    """p * inner + (1 - p) * identity / 2^N; the weight of a mix is
+    multiplied by p. n_qubits is a check, not a setting: when given, it must
+    be inner's."""
     if n_qubits is not None and n_qubits != inner.n_qubits:
         raise ValidationError(f"white_noise_mix n_qubits={n_qubits} differs from "
                               f"its inner state's {inner.n_qubits}")
@@ -463,15 +465,8 @@ def white_noise_mix(inner: QuantumState, p: float, n_qubits: Optional[int] = Non
     spec = None
     if inner.spec is not None:
         spec = StateSpec("white_noise_mix", inner.n_qubits, p=float(p), inner=inner.spec)
-    base, weights = inner.noise or (inner, ())
-    return _with_noise(base, weights + (p,), spec)
-
-
-def _with_noise(base: QuantumState, weights: tuple, spec=None) -> QuantumState:
-    """A pure or dense base under white-noise weights; the base itself for none."""
-    if not weights:
-        return base
-    return QuantumState(None, base.n_qubits, noise=(base, weights), spec=spec)
+    base, weight = inner.noise or (inner, 1.0)
+    return QuantumState(None, inner.n_qubits, noise=(base, weight * p), spec=spec)
 
 
 def mix(states: Sequence[QuantumState], weights) -> QuantumState:

@@ -48,12 +48,15 @@ def test_producibility_bound_table(n, k, single, total):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
 def test_biseparable_equals_single_block_maximization(n):
-    # maximize the one-block k-producible bounds over k in [ceil(N/2), N-1]
+    # maximize the one-block k-producible bounds over k in [ceil(N/2), N-1];
+    # a block of one qubit reaches a sum of 2, any larger block k(k+2)
+    def ceiling(m):
+        return 2 if m == 1 else m * (m + 2)
     best_single = best_sum = 0.0
     for k in range(math.ceil(n / 2), n):
         rem = n - k
         best_single = max(best_single, k ** 2 + rem ** 2)
-        best_sum = max(best_sum, k * (k + 2) + (2 if rem == 1 else rem * (rem + 2)))
+        best_sum = max(best_sum, ceiling(k) + ceiling(rem))
     b = bounds(n)
     assert (b["biseparable_single"], b["biseparable_sum"]) == (best_single, best_sum)
 
@@ -434,8 +437,8 @@ def _ghz_block_witnesses():
     """GHZ_k^(x n) (x) GHZ_r, N = n k + r, for N = 2..8 and k = 1..N, with the
     rows it meets: its Fisher sum and peak are the k-producible optimum, the
     r = 1 tail being one pure qubit. k = 1 is the pure product |+x>^N, k = N
-    is GHZ_N. At N = 2 biseparable is separable, so no state reaches the
-    biseparable sum N^2 + 1 = 5: the best is 2N = 4, a gap of 1."""
+    is GHZ_N. At N = 2 biseparable is separable, and the product meets the
+    biseparable rows at the separable values 2 and 4."""
     cases = []
     for n in range(2, 9):
         for k in range(1, n + 1):
@@ -452,25 +455,22 @@ def _ghz_block_witnesses():
                        f"spectral_max_kprod_k{k}": peak, f"spectral_trace_kprod_k{k}": total}
             else:
                 met = {"sum_ceiling": total}
-            gaps = {}
             if k == n - 1:
                 met.update(biseparable_single=peak, biseparable_sum=total)
-            if n == 2 and k == 1:
-                gaps = {"biseparable_sum": (5.0, met.pop("biseparable_sum"))}
-            cases.append(pytest.param([helpers.ghz_ket(s) for s in sizes], triple, met, gaps,
+            cases.append(pytest.param([helpers.ghz_ket(s) for s in sizes], triple, met,
                                       id=f"n{n}-ghz{k}"))
     return cases
 
 
-@pytest.mark.parametrize("kets,triple,met,gaps", [
+@pytest.mark.parametrize("kets,triple,met", [
     pytest.param((helpers.ghz_ket(3), helpers.ghz_ket(3)), (6, 6, 18),
-                 {"kprod_single_k3": 18.0, "kprod_sum_k3": 30.0}, {}, id="ghz3-ghz3"),
-    pytest.param((helpers.ghz_ket(5), ZERO), (6, 6, 25), {"biseparable_sum": 37.0}, {},
+                 {"kprod_single_k3": 18.0, "kprod_sum_k3": 30.0}, id="ghz3-ghz3"),
+    pytest.param((helpers.ghz_ket(5), ZERO), (6, 6, 25), {"biseparable_sum": 37.0},
                  id="ghz5-zero"),
     pytest.param((helpers.ghz_ket(5), PLUS_X), (5, 6, 26),
-                 {"biseparable_single": 26.0, "biseparable_sum": 37.0}, {}, id="ghz5-plusx"),
+                 {"biseparable_single": 26.0, "biseparable_sum": 37.0}, id="ghz5-plusx"),
 ] + _ghz_block_witnesses())
-def test_bounds_are_attained_by_ghz_blocks(kets, triple, met, gaps):
+def test_bounds_are_attained_by_ghz_blocks(kets, triple, met):
     state = _block_state(*kets)
     np.testing.assert_allclose(qfi.fisher_triple(state), triple, atol=1e-9)
     reports, _ = criteria.evaluate_all(state)
@@ -480,7 +480,3 @@ def test_bounds_are_attained_by_ghz_blocks(kets, triple, met, gaps):
         assert rep.bound == bound
         assert rep.value == pytest.approx(bound, abs=1e-9)
         assert not rep.violated
-    for criterion_id, (bound, best) in gaps.items():
-        rep = by_id[criterion_id]
-        assert rep.bound == bound
-        assert rep.value == pytest.approx(best, abs=1e-9)

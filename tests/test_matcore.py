@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spinqfi import matcore
+from spinqfi import collective, interferometer, landscape, matcore, states
 from spinqfi.errors import DimensionCapError, NumericalError, ValidationError
 
 from helpers import SZ
@@ -72,3 +72,38 @@ def test_check_dim_enforces_cap():
 def test_non_square_input_rejected():
     with pytest.raises(ValidationError):
         matcore.eigh(np.zeros((2, 3)))
+
+
+def _warm_then_float():
+    landscape.normalized_amplitudes((1, 0, 0), 8)  # a cached N = 8 model must not admit 8.0
+    return landscape.normalized_amplitudes((1, 0, 0), 8.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: states.ghz(4.0),
+    lambda: states.ghz(True),
+    lambda: states.dicke(np.float64(4), 2),
+    lambda: interferometer.Measurement.parity("x", 3.0),
+    lambda: interferometer.Measurement.computational(3.0),
+    lambda: collective.collective_j("x", 3.0),
+    lambda: landscape.landmark_points(6.5),
+    lambda: landscape.landmark_specs(6.0),
+    lambda: landscape.sample_dicke_plane(8.9, 1, 0),
+    lambda: landscape.product_state_for_point((4.0, 4.0, 0.0), 4.0),
+    lambda: landscape.alpha_for_point((24.0, 24.0, 32.0), 8.0),
+    lambda: landscape.realize_dicke_point((12.0, 12.0, 16.0), 8.0),
+    lambda: landscape.closed_form_check((1, 0, 0), 8.0),
+    _warm_then_float,
+], ids=["ghz-float", "ghz-bool", "dicke-np-float", "parity", "computational", "collective_j",
+        "landmark_points", "landmark_specs", "sample_dicke_plane", "product_state_for_point",
+        "alpha_for_point", "realize_dicke_point", "closed_form_check", "cached-model"])
+def test_non_integer_qubit_counts_are_validation_errors(call):
+    # int() would read 6.5 as 6 and True as 1; numpy would fail with a bare TypeError
+    with pytest.raises(ValidationError, match="n_qubits must be an integer"):
+        call()
+
+
+def test_numpy_integer_qubit_counts_pass():
+    assert states.ghz(np.int64(3)).n_qubits == 3
+    assert len(landscape.landmark_points(np.int64(6))) == 13
+    assert matcore.check_integer(np.int32(5), "k") == 5

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinqfi import criteria, interferometer, landscape, states
+from spinqfi import criteria, interferometer, landscape, qfi, states
 from spinqfi.errors import DimensionCapError, SpecError, ValidationError
 
 import helpers
@@ -184,6 +184,43 @@ def test_white_noise_weight_range_checked():
         states.white_noise_mix(states.ghz(2), 1.5)
     with pytest.raises(ValidationError):
         states.white_noise_mix(states.ghz(2), -0.1)
+
+
+@pytest.mark.parametrize("pure", [True, False], ids=["pure-base", "dense-base"])
+@pytest.mark.parametrize("weights", [(0.8, 0.6), (0.8, 0.6, 0.9), (0.7, 0.3, 0.95, 0.5)],
+                         ids=["2-levels", "3-levels", "4-levels"])
+def test_white_noise_chain_is_one_weight_and_matches_the_dense_fold(pure, weights):
+    # second route: numpy alone folds each level p rho + (1 - p) 1/d into rho
+    n, dim = 3, 8
+    rng = np.random.default_rng([9300, len(weights), pure])
+    if pure:
+        ket = helpers.haar_ket(dim, rng)
+        base_rho, base = np.outer(ket, ket.conj()), states._pure_state(ket, n)
+    else:
+        base_rho = helpers.ginibre_mixed(n, rng)
+        base = states.from_matrix(base_rho, n)
+    chain, want = base, base_rho
+    for p in weights:
+        chain = states.white_noise_mix(chain, p)
+        want = p * want + (1.0 - p) * np.eye(dim) / dim
+    assert chain.noise[0] is base and isinstance(chain.noise[1], float)
+    assert chain.noise[1] == math.prod(weights)
+    np.testing.assert_allclose(chain.rho, want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(chain.spectrum.values, np.linalg.eigvalsh(want), rtol=0, atol=1e-12)
+    minus, plus = helpers.parity_projectors("x", n)
+    probs = interferometer.Measurement.parity("x", n).probabilities(chain)
+    np.testing.assert_allclose(probs, [np.trace(minus @ want).real, np.trace(plus @ want).real],
+                               rtol=0, atol=1e-12)
+    for _ in range(3):
+        d = helpers.random_direction(rng)
+        expect = helpers.qfi_reference(want, n, d)
+        assert abs(qfi.qfi_direction(chain, d) - expect) <= 1e-12 * max(1.0, expect)
+    (got_rows, got_cert), (want_rows, want_cert) = (
+        criteria.evaluate_all(chain), criteria.evaluate_all(states.from_matrix(want, n)))
+    np.testing.assert_allclose([r.value for r in got_rows], [r.value for r in want_rows],
+                               rtol=0, atol=1e-12)
+    assert (got_cert.depth_lower_bound, got_cert.witnessing_criterion) == (
+        want_cert.depth_lower_bound, want_cert.witnessing_criterion)
 
 
 def test_mix_builds_convex_combination():
@@ -422,7 +459,7 @@ def test_spec_chains_are_walked_without_recursion():
     levels = 5000  # far past the interpreter's recursion limit
     spec = states.StateSpec("ghz", 2)
     for _ in range(levels):
-        spec = states.StateSpec("white_noise_mix", p=0.5, inner=spec)
+        spec = states.StateSpec("white_noise_mix", p=0.999, inner=spec)
     label = spec.label()
     assert label.count("inner=(") == levels and label.endswith(")" * levels)
     doc, depth = spec.to_dict(), 0
@@ -430,8 +467,8 @@ def test_spec_chains_are_walked_without_recursion():
         doc, depth = doc["inner"], depth + 1
     assert (doc, depth) == ({"kind": "ghz", "n_qubits": 2, "basis": "z"}, levels)
     state = states.from_spec(spec)
-    base, weights = state.noise
-    assert weights == (0.5,) * levels
+    base, p = state.noise
+    assert p == math.prod([0.999] * levels) > 0.0  # one weight, folded innermost first
     assert base.is_pure and base.n_qubits == 2 and base.spec == states.StateSpec("ghz", 2)
 
 
