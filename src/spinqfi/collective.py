@@ -2,13 +2,15 @@
 
 Site 1 is the most significant tensor factor throughout the package, which
 fixes bitstring conventions for the Dicke constructors and the file format.
-Collective operators are memoized per (axis, N); cached arrays are returned
-read-only and must not be mutated by callers.
+One table, _entries, states every nonzero entry of J_x, J_y, J_z, J_x^2 and
+J_y^2 once. It writes the dense 2^N x 2^N J of the mixed-state route, which
+alone is memoized per (axis, N) and returned read-only, the dense J^2 (fresh
+per call), and the offsets and values that the pure-state route writes into
+its slabs (slab_entries).
 """
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
@@ -16,6 +18,7 @@ from .errors import ValidationError
 from .matcore import check_qubits
 
 AXES = ("x", "y", "z")
+OPERATORS = AXES + ("xx", "yy")  # the table's J_x, J_y, J_z, J_x^2, J_y^2
 
 IDENTITY_2 = np.eye(2, dtype=complex)
 
@@ -44,24 +47,48 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _entries(op: str, n_qubits: int, rows: np.ndarray):
+    """The one table of operator entries: the nonzero entries of rows `rows`
+    of J_x, J_y, J_z (op "x", "y", "z") or J_x^2, J_y^2 ("xx", "yy"), as
+    (columns, part, values) triples that broadcast against rows, part 0 the
+    real half and 1 the imaginary one; every other entry is +0.0.
+
+    sigma_x and sigma_y flip one bit s of the index i; sigma_y's entry is -i
+    where bit s of i is 0 and +i where it is 1. J_z is diagonal,
+    (N - 2 popcount(i)) / 2. J_a^2 = N/4 + (1/2) sum_{s<t} sigma_a^(s)
+    sigma_a^(t): the pair term at (i, i XOR (2^s | 2^t)) is 1/2 for x and, for
+    y, -1/2 where bits s and t of i agree and +1/2 where they differ. Every
+    entry of the matmul J_a @ J_a sums multiples of 1/4 exactly, so it holds
+    these same bits, +0.0 zeros included."""
+    if op == "z":
+        return [(rows, 0, n_qubits / 2 - np.bitwise_count(rows))]
+    if op in ("x", "y"):
+        s = np.arange(n_qubits)[:, None]
+        flipped = rows ^ (1 << s)
+        if op == "x":
+            return [(flipped, 0, 0.5)]
+        return [(flipped, 1, np.where(rows >> s & 1, 0.5, -0.5))]
+    s, t = (b[:, None] for b in np.triu_indices(n_qubits, 1))  # one row per pair s < t
+    flipped = rows ^ (1 << s | 1 << t)
+    pair = 0.5 if op == "xx" else np.where((rows >> s ^ rows >> t) & 1, 0.5, -0.5)
+    return [(rows, 0, n_qubits / 4), (flipped, 0, pair)]
+
+
+def dense(op: str, n_qubits: int) -> np.ndarray:
+    """A fresh 2^N x 2^N array of one operator of the table, op one of OPERATORS."""
+    if op not in OPERATORS:
+        raise ValidationError(f"operator must be one of {OPERATORS}, got {op!r}")
+    check_qubits(n_qubits)
+    idx = np.arange(2 ** n_qubits)
+    out = np.zeros((idx.size, idx.size), dtype=complex)
+    for cols, part, values in _entries(op, n_qubits, idx):
+        (out.real, out.imag)[part][idx, cols] = values
+    return out
+
+
 @lru_cache(maxsize=24)
 def _collective_cached(axis: str, n_qubits: int) -> np.ndarray:
-    """Each nonzero entry written once. sigma_x and sigma_y flip one bit s of
-    the index i; sigma_y's entry is -i where bit s of i is 0 and +i where it
-    is 1. J_z is diagonal, (N - 2 popcount(i)) / 2. Every zero is +0.0."""
-    dim = 2 ** n_qubits
-    idx = np.arange(dim)
-    out = np.zeros((dim, dim), dtype=complex)
-    if axis == "z":
-        out.real[idx, idx] = n_qubits / 2 - np.bitwise_count(idx)
-    else:
-        for s in range(n_qubits):
-            flipped = idx ^ (1 << s)
-            if axis == "x":
-                out.real[idx, flipped] = 0.5
-            else:
-                out.imag[idx, flipped] = np.where(idx >> s & 1, 0.5, -0.5)
-    return _readonly(out)
+    return _readonly(dense(axis, n_qubits))
 
 
 def collective_j(axis: str, n_qubits: int) -> np.ndarray:
@@ -71,29 +98,41 @@ def collective_j(axis: str, n_qubits: int) -> np.ndarray:
     return _collective_cached(axis, n_qubits)
 
 
-def collective_square(axis: str, n_qubits: int, lo: int = 0, hi: Optional[int] = None) -> np.ndarray:
-    """Columns lo:hi (default all) of J_axis @ J_axis for axis x or y, written
-    from the index bits, uncached.
-
-    J_a^2 = N/4 + (1/2) sum_{s<t} sigma_a^(s) sigma_a^(t). For y the pair term
-    at (i XOR (2^s | 2^t), i) is -1/2 where bits s and t of i agree and +1/2
-    where they differ. Every entry of the matmul sums multiples of 1/4 exactly,
-    so it holds these same bits, +0.0 zeros included."""
-    if axis not in ("x", "y"):
-        raise ValidationError(f"axis must be 'x' or 'y', got {axis!r}")
+@lru_cache(maxsize=8)
+def slab_entries(ops: tuple, n_qubits: int, width: int, columns: bool = False):
+    """Where the table's entries of `ops` fall in a slab of `width` rows of
+    each operator stacked, a C-contiguous (len(ops) width) x 2^N complex array;
+    or, with `columns`, of `width` columns side by side, 2^N x (len(ops)
+    width). Returns (offsets, values), each (2^N / width) x count: row b holds
+    the float64 offsets into the slab's real view, and their values, for rows
+    (or columns) b width ... (b + 1) width - 1 of each operator. Column c of a
+    Hermitian operator is the conjugate of row c. width divides 2^N. The pair
+    is memoized read-only: 16 bytes per entry, (2N + 1) 2^N entries for AXES
+    and (N^2 + N + 2) 2^N for x, xx, y, yy, 10 MB at N = 12."""
     check_qubits(n_qubits)
     dim = 2 ** n_qubits
-    cols = np.arange(lo, dim if hi is None else hi)
-    at = np.arange(cols.size)
-    out = np.zeros((dim, cols.size), dtype=complex)
-    out.real[cols, at] = n_qubits / 4
-    s, t = (b[:, None] for b in np.triu_indices(n_qubits, 1))  # one row per pair s < t
-    flipped = cols ^ (1 << s | 1 << t)
-    if axis == "x":
-        out.real[flipped, at] = 0.5
-    else:
-        out.real[flipped, at] = np.where((cols >> s ^ cols >> t) & 1, 0.5, -0.5)
-    return out
+    blocks = dim // width
+    anchors = np.arange(dim)
+    slot = anchors % width
+    count = sum(partner.size  # entries per row (or column)
+                for op in ops for partner, _, _ in _entries(op, n_qubits, anchors[:1]))
+    offsets = np.empty((blocks, count * width), dtype=np.intp)
+    values = np.empty((blocks, count * width))
+    at = 0
+    for q, op in enumerate(ops):
+        for partner, part, vals in _entries(op, n_qubits, anchors):
+            partner, vals = np.broadcast_arrays(partner, vals)
+            if columns:
+                flat = partner * (2 * len(ops) * width) + 2 * (q * width + slot) + part
+                vals = -vals if part else vals
+            else:
+                flat = (q * width + slot) * (2 * dim) + 2 * partner + part
+            step = flat.size // blocks
+            for arr, out in ((flat, offsets), (vals, values)):
+                out[:, at:at + step].reshape(blocks, -1, width)[...] = \
+                    arr.reshape(-1, blocks, width).transpose(1, 0, 2)
+            at += step
+    return _readonly(offsets), _readonly(values)
 
 
 def collective_all(n_qubits: int):

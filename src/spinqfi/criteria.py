@@ -95,7 +95,7 @@ def ladder(n_qubits: int) -> List[Rung]:
     * biseparable states:    the k = N-1 pair: F_Q[J_l] <= (N-1)^2 + 1 and
                              sum_l F_Q <= N^2 + 1, or 2 and 4 at N = 2, where
                              biseparable is separable
-    * any state:             sum_l F_Q <= N(N+2)
+    * any state:             sum_l F_Q <= c(N): N(N+2), or 2 for one qubit
     * >= M unentangled:      sum_l F_Q <= M + (N-M)(N-M+2)
     * variance floor:        separable states keep sum_l (Delta J_l)^2 >= N/2
 
@@ -117,7 +117,7 @@ def ladder(n_qubits: int) -> List[Rung]:
     kprod = [(k, *pair(k)) for k in range(2, n)]
     rungs = [Rung("separable_sum", sep_sum, "sum", "entangled"),
              Rung("separable_single", sep_single, "peak", "entangled"),
-             Rung("sum_ceiling", float(n * (n + 2)), "sum", None)]
+             Rung("sum_ceiling", float(ceiling(n)), "sum", None)]
     for k, single, total in kprod:
         implication = f"not_{k}_producible"
         rungs += [Rung(f"kprod_single_k{k}", single, "peak", implication),

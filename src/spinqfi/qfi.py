@@ -27,10 +27,16 @@ or below it leaves s = 0. qfi_matrix keeps the dense route for such mixes for
 now: the benchmark's reference stdout of `analyze` and `landscape noise_line`
 on them is pinned by sha256, and the closed form moves their last bits.
 
-collective_variances gives the variances the criteria's variance floor sums.
-It reads only the diagonals of rho J and rho J^2 for x and y. A pure state
-forms them BLOCK rows at a time, 4 * BLOCK * 4^N multiply-adds with no dense
-rho or J^2; any other state runs four dense products, 4 * 8^N. `variance`
+A pure state reads no dense J. Its J_a psi, and the diagonals of psi psi^dag
+J_a and psi psi^dag J_a^2 that collective_variances sums for the criteria's
+variance floor, come from slabs of BLOCK rows (or columns) of each operator,
+written from the table in `collective` into one zeroed buffer per call and
+cleared after each block. J psi costs the dense gemv's 3 * 4^N multiply-adds;
+the moments, BLOCK rows psi[lo:hi] psi^dag against a 2^N x 4 BLOCK slab per
+block, cost 4 * BLOCK * 4^N. Any other state runs the memoized dense J, and
+its moments four dense products, 4 * 8^N. Both routes give the same bits:
+OpenBLAS sums each entry over all 2^N terms in the same order whatever the
+other two sizes of the product (tests/test_qfi.py pins this). `variance`
 serves any other observable.
 """
 from __future__ import annotations
@@ -40,12 +46,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collective import check_direction, collective_all, collective_square
+from .collective import AXES, check_direction, collective_all, dense, slab_entries
 from .errors import NumericalError, ValidationError
 from .matcore import require_hermitian
 from .states import EPS_RANK, QuantumState
 
-BLOCK = 32  # rows per diagonal block of the pure-state moments
+BLOCK = 16  # rows (or columns) of each operator per slab of the pure route
 CLAMP = 1e-10
 
 
@@ -89,19 +95,53 @@ class QfiMatrix:
         return _clamp_nonneg(float(n @ self.mat @ n))
 
 
+def _pure_slabs(ops, n_qubits: int, columns: bool = False):
+    """For each block of BLOCK rows (or columns): the slab, a zeroed buffer,
+    with the block's entries of `ops` written in, and its first index. The
+    entries are cleared again before the next block is written."""
+    dim = 2 ** n_qubits
+    width = min(BLOCK, dim)
+    offsets, values = slab_entries(ops, n_qubits, width, columns)
+    shape = (dim, len(ops) * width) if columns else (len(ops) * width, dim)
+    slab = np.zeros(shape, dtype=complex)
+    flat = slab.reshape(-1).view(float)
+    for b, lo in enumerate(range(0, dim, width)):
+        flat[offsets[b]] = values[b]
+        yield slab, lo
+        flat[offsets[b]] = 0.0
+
+
+def _pure_products(column: np.ndarray, n_qubits: int) -> list:
+    """J_x psi, J_y psi, J_z psi for psi a 2^N x 1 column, each 2^N x 1.
+
+    Each product is a row slab of 3 BLOCK rows times the column. OpenBLAS sums
+    each output over all 2^N terms in the same order whatever the number of
+    rows, from 2 up, so every bit is the dense J @ psi's."""
+    out = np.empty((3, column.shape[0], 1), dtype=complex)
+    width = min(BLOCK, column.shape[0])
+    for slab, lo in _pure_slabs(AXES, n_qubits):
+        out[:, lo:lo + width] = (slab @ column).reshape(3, width, 1)
+    return list(out)
+
+
 def qfi_matrix(state: QuantumState, eps_rank: float = EPS_RANK) -> QfiMatrix:
     """Assemble the collective-spin QFI matrix of a state; a diagonal entry
     above N^2 + 1e-6 is a NumericalError.
 
-    The J_i V blocks are kept only for a rank-deficient support, whose
-    completeness term reads them. A white-noise mix over a pure base still
+    A pure state forms J_i psi from row slabs, bit for bit the dense J_i @ psi;
+    any other state multiplies its support by the memoized dense J. The J_i V
+    blocks are kept only for a rank-deficient support, whose completeness
+    term reads them. A white-noise mix over a pure base still
     completes a dense 2^N x 2^N basis here, and is the second route the tests
     hold qfi_direction's closed form to. ROADMAP item 2 moves this function
     onto the same scale once the benchmark's reference stdout is recorded
     again (item 1)."""
     lam, vs = state.support(eps_rank)
     vh = vs.conj().T
-    b = [j @ vs for j in collective_all(state.n_qubits)]
+    if state.is_pure:
+        b = _pure_products(vs, state.n_qubits)
+    else:
+        b = [j @ vs for j in collective_all(state.n_qubits)]
     a = [vh @ bi for bi in b]
     del vh
     full_rank = vs.shape[1] == state.dim
@@ -197,25 +237,31 @@ def collective_variances(state: QuantumState) -> tuple:
     `variance` gives for each cached J.
 
     Only the diagonals of rho J_a and rho J_a^2 are formed. A pure state
-    takes BLOCK rows psi[lo:hi] psi^dag at a time against columns lo:hi of
-    J_a and J_a^2; OpenBLAS sums each entry over all 2^N terms in the same
-    order whatever the other two sizes, so the bits are the full product's.
-    Any other state is one block, rho itself. J_z is diagonal, so
+    takes BLOCK rows psi[lo:hi] psi^dag at a time against one column slab
+    holding columns lo:hi of J_x, J_x^2, J_y and J_y^2, in one matmul;
+    OpenBLAS sums each entry over all 2^N terms in the same order whatever the
+    other two sizes, so the bits are the dense products'. Any other state runs
+    rho against the cached J and the dense J^2. J_z is diagonal, so
     (rho J_z)_ii is rho_ii jz_i rounded once, and numpy sums a diagonal in
     the same order as the trace."""
     n, dim = state.n_qubits, state.dim
     psi = state.vector
-    step, bra = (dim, None) if psi is None else (BLOCK, psi.conj())
-    parts = []
-    for lo in range(0, dim, step):
-        hi = min(lo + step, dim)
-        rows = state.rho if psi is None else np.outer(psi[lo:hi], bra)
-        part = [np.diagonal(rows[:, lo:hi]).copy()]  # a view would keep rows alive
+    if psi is None:
+        rho = state.rho
+        diag = np.diagonal(rho).copy()
+        moments = []
         for axis, j in zip("xy", collective_all(n)):
-            for op in (j[:, lo:hi], collective_square(axis, n, lo, hi)):
-                part.append(np.diagonal(rows @ op).copy())
-        parts.append(part)
-    diag, *moments = (np.concatenate(p) for p in zip(*parts))
+            moments += [np.diagonal(rho @ j).copy(), np.diagonal(rho @ dense(axis * 2, n)).copy()]
+    else:
+        bra, width = psi.conj(), min(BLOCK, dim)
+        parts = []
+        for slab, lo in _pure_slabs(("x", "xx", "y", "yy"), n, columns=True):
+            rows = np.outer(psi[lo:lo + width], bra)
+            prod = rows @ slab
+            parts.append([np.diagonal(rows[:, lo:lo + width]).copy()]
+                         + [np.diagonal(prod[:, q * width:(q + 1) * width]).copy()
+                            for q in range(4)])
+        diag, *moments = (np.concatenate(p) for p in zip(*parts))
     out = []
     for first, second in (moments[:2], moments[2:]):
         mean = complex(first.sum()).real

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import spinqfi
-from spinqfi import cli, landscape, qfi, states
+from spinqfi import cli, collective, landscape, qfi, states
 from spinqfi.cli import AnalysisConfig, dumps, main
 from spinqfi.errors import DimensionCapError, NumericalError, SpecError, ValidationError
 
@@ -145,23 +146,64 @@ def test_dumps_matches_the_recursive_serializer_on_a_raw_matrix_document():
 
 
 def test_analysis_document_leaves_rho_unbuilt_for_a_pure_state(monkeypatch):
-    built, widths = [], []
-    from_spec, square = states.from_spec, qfi.collective_square
+    built, shapes = [], set()
+    from_spec, slabs = states.from_spec, qfi._pure_slabs
 
     def spy_state(spec, cap):
         built.append(from_spec(spec, cap=cap))
         return built[-1]
 
-    def spy_square(*args):
-        out = square(*args)
-        widths.append(out.shape[1])
-        return out
+    def spy_slabs(*args, **kwargs):
+        for slab, lo in slabs(*args, **kwargs):
+            shapes.add(slab.shape)
+            yield slab, lo
 
     monkeypatch.setattr(states, "from_spec", spy_state)
-    monkeypatch.setattr(qfi, "collective_square", spy_square)
+    monkeypatch.setattr(qfi, "_pure_slabs", spy_slabs)
+    before = collective._collective_cached.cache_info()
     cli.analysis_document(states.StateSpec("ghz", 8, "y"), AnalysisConfig())
+    assert collective._collective_cached.cache_info() == before
+    dim = built[0].dim
     assert built[0].is_pure and built[0]._rho is None
-    assert widths and max(widths) == qfi.BLOCK < built[0].dim
+    assert shapes == {(3 * qfi.BLOCK, dim), (dim, 4 * qfi.BLOCK)} and qfi.BLOCK < dim
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze"], ["depth"], ["crb", "--measurement", "parity-x", "--direction", "x"],
+], ids=["analyze", "depth", "crb"])
+def test_pure_commands_read_no_dense_collective_operator(tmp_path, capsys, monkeypatch, argv):
+    # crb's phase rotation is one single-qubit rotation on every qubit, read
+    # off the N = 1 operators; nothing reads a 2^N x 2^N J
+    path = write_spec(tmp_path, "ghz6.json", {"kind": "ghz", "n_qubits": 6, "basis": "x"})
+    assert main(argv[:1] + [path] + argv[1:]) == 0  # the N = 1 operators are cached now
+    cached, read = collective._collective_cached, []
+
+    def spy(axis, n_qubits):
+        read.append(n_qubits)
+        return cached(axis, n_qubits)
+
+    before = cached.cache_info()
+    with monkeypatch.context() as m:
+        m.setattr(collective, "_collective_cached", spy)
+        assert main(argv[:1] + [path] + argv[1:]) == 0
+    if argv[0] == "crb":
+        assert set(read) == {1}
+    else:
+        assert read == [] and cached.cache_info() == before
+    capsys.readouterr()
+
+
+def test_pure_analysis_peak_memory_stays_below_one_dense_j():
+    # 16 4^N bytes is one dense J; the slab entries are built cold here
+    collective.slab_entries.cache_clear()
+    spec = states.StateSpec("ghz", 10, "x")
+    tracemalloc.start()
+    try:
+        cli.analysis_document(spec, AnalysisConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 4 ** 10
 
 
 # ------------------------------------------------------------ configuration
@@ -636,9 +678,8 @@ def test_numerical_error_exit_code_attribute():
     lambda path: ["crb", path, "--direction", "z"],
     lambda path: ["landscape", "noise_line", "--n-qubits", "4", "--count", "2", "--spec", path],
 ], ids=["analyze", "depth", "crb", "noise_line"])
-def test_every_command_meets_the_n_squared_guard(tmp_path, capsys, monkeypatch, command):
-    doubled = tuple(2.0 * j for j in qfi.collective_all(4))  # quadruples the QFI
-    monkeypatch.setattr(qfi, "collective_all", lambda n: doubled)
+def test_every_command_meets_the_n_squared_guard(tmp_path, capsys, doubled_generators, command):
+    # doubled_generators doubles every J, which quadruples the QFI
     assert main(command(write_spec(tmp_path, "ghz4.json", GHZ4))) == 4
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -17,8 +17,9 @@ def test_collective_matches_reference(axis, n):
 @pytest.mark.parametrize("axis", ["x", "y"])
 @pytest.mark.parametrize("n", range(1, 11))
 def test_collective_square_is_the_matmul_bit_for_bit(axis, n):
+    # J_a^2 as the table writes it, for the dense route's moments
     j = collective.collective_j(axis, n)
-    square = collective.collective_square(axis, n)
+    square = collective.dense(axis * 2, n)
     assert square.tobytes() == (j @ j).tobytes()  # signed zeros included
     if n <= 6:
         ref = helpers.collective_op(axis, n)
@@ -27,9 +28,30 @@ def test_collective_square_is_the_matmul_bit_for_bit(axis, n):
 
 def test_collective_square_takes_only_the_transverse_axes():
     with pytest.raises(ValidationError):
-        collective.collective_square("z", 3)
+        collective.dense("zz", 3)
     with pytest.raises(DimensionCapError):
-        collective.collective_square("x", 13)
+        collective.dense("xx", 13)
+
+
+@pytest.mark.parametrize("columns", [False, True], ids=["rows", "columns"])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 6])
+def test_slab_entries_write_the_dense_blocks_and_clear_to_zero(n, columns):
+    # each block of the slab holds the dense operators' rows (or columns) to
+    # the last bit, +0.0 zeros included, and clearing leaves +0.0 everywhere
+    dim, ops = 2 ** n, collective.OPERATORS
+    width = min(4, dim)
+    offsets, values = collective.slab_entries(ops, n, width, columns)
+    shape = (dim, len(ops) * width) if columns else (len(ops) * width, dim)
+    slab = np.zeros(shape, dtype=complex)
+    flat = slab.reshape(-1).view(float)
+    full = [collective.dense(op, n) for op in ops]
+    for b, lo in enumerate(range(0, dim, width)):
+        flat[offsets[b]] = values[b]
+        want = [d[:, lo:lo + width] if columns else d[lo:lo + width] for d in full]
+        assert slab.tobytes() == np.concatenate(want, axis=1 if columns else 0).tobytes()
+        flat[offsets[b]] = 0.0
+        assert slab.tobytes() == bytes(slab.nbytes)
+    assert not offsets.flags.writeable and not values.flags.writeable
 
 
 def test_collective_x_spectrum_three_qubits():

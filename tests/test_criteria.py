@@ -357,6 +357,15 @@ def test_sum_ceiling_saturated_not_violated():
     assert not rep.violated
 
 
+def test_sum_ceiling_is_met_by_one_qubit():
+    # one pure qubit reaches F_x + F_y + F_z = 2, not N(N+2) = 3
+    reports, _ = criteria.evaluate_all(states.ghz(1, "z"))
+    rep = next(r for r in reports if r.criterion_id == "sum_ceiling")
+    assert rep.bound == 2.0
+    assert rep.value == pytest.approx(2.0, abs=1e-12)
+    assert not rep.violated
+
+
 def test_unentangled_summary_reads_sweep():
     reports, _ = criteria.evaluate_all(states.ghz(4, "z"))
     assert criteria.unentangled_summary(reports) == {

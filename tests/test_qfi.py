@@ -263,15 +263,15 @@ def test_direction_output_clamped_to_zero():
     assert q.direction((1.0, 0.0, 0.0)) >= 0.0
 
 
-def test_every_qfi_route_caps_components_at_n_squared(monkeypatch):
-    # doubled generators quadruple the QFI: GHZ_z at N = 4 gets F_z = 64 > N^2
-    doubled = tuple(2.0 * j for j in collective.collective_all(4))
-    monkeypatch.setattr(qfi, "collective_all", lambda n: doubled)
-    st = states.ghz(4, "z")
-    for route in (qfi.qfi_matrix, qfi.fisher_triple,
-                  lambda state: qfi.qfi_direction(state, (1.0, 0.0, 0.0))):
-        with pytest.raises(NumericalError, match="exceeds N\\^2 = 16.0"):
-            route(st)
+def test_every_qfi_route_caps_components_at_n_squared(doubled_generators):
+    # doubled generators quadruple the QFI: GHZ_z at N = 4 gets F_z = 64 > N^2,
+    # on the pure slab route and on the dense route of the same state as a rho
+    pure = states.ghz(4, "z")
+    for st in (pure, wrap(np.outer(pure.vector, pure.vector.conj()), 4)):
+        for route in (qfi.qfi_matrix, qfi.fisher_triple,
+                      lambda state: qfi.qfi_direction(state, (1.0, 0.0, 0.0))):
+            with pytest.raises(NumericalError, match="exceeds N\\^2 = 16.0"):
+                route(st)
 
 
 def test_average_qfi_is_third_of_trace():
@@ -335,3 +335,79 @@ def test_collective_variances_bitwise_on_random_mixed_states(n, rank, seed):
     _assert_moments_bitwise(state)
     ref = [helpers.variance_reference(rho, helpers.collective_op(axis, n)) for axis in "xyz"]
     np.testing.assert_allclose(qfi.collective_variances(state), ref, atol=1e-10)
+
+
+# ------------------------------------------------------------ pure slab route
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_blas_sums_each_entry_in_one_order_whatever_the_slab(n):
+    # The pure route rests on this: OpenBLAS sums each entry of a product over
+    # all K terms in the same order whatever the other two sizes. Random data,
+    # so no exact zero hides an order change. At N = 1 the dense product has
+    # two columns and takes another kernel than a 4 BLOCK-wide slab; every
+    # column of J there has one nonzero entry, and the pure-route test below
+    # covers it.
+    dim = 2 ** n
+    rng = np.random.default_rng(n)
+
+    def draw(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    a, column = draw(dim, dim), draw(dim, 1)
+    full = a @ column
+    for rows in sorted({2, 3, min(3 * qfi.BLOCK, dim)}):
+        for lo in range(0, dim - rows + 1, rows):
+            slab = np.ascontiguousarray(a[lo:lo + rows])
+            assert (slab @ column).tobytes() == full[lo:lo + rows].tobytes()
+    if n == 1:
+        return
+    width = min(qfi.BLOCK, dim)
+    rho = draw(dim, dim)
+    full = rho @ a
+    picks = [rng.permutation(dim)[:width] for _ in range(4)]
+    slab = np.concatenate([a[:, cols] for cols in picks], axis=1)  # 2^N x 4 BLOCK
+    for lo in range(0, dim, width):
+        want = np.concatenate([full[lo:lo + width, cols] for cols in picks], axis=1)
+        assert (np.ascontiguousarray(rho[lo:lo + width]) @ slab).tobytes() == want.tobytes()
+
+
+def _pure_kinds(n):
+    """One state of each pure kind that admits N qubits."""
+    rng = np.random.default_rng(n)
+    kinds = {"ghz": states.ghz(n, "x"), "dicke": states.dicke(n, n // 2, "y")}
+    if n % 2 == 0:
+        c, size = rng.normal(size=3), len(states.even_parity_indices(n))
+        coeffs = rng.normal(size=size) + 1j * rng.normal(size=size)
+        kinds["product_bloch"] = states.product_bloch(c / np.linalg.norm(c), n)
+        kinds["even_parity"] = states.even_parity(coeffs / np.linalg.norm(coeffs), n)
+    if n % 2 == 0 and n >= 4:
+        kinds["excited_dicke"] = states.excited_dicke(n, "y")
+    if n % 4 == 0:
+        kinds["dicke_superposition"] = states.dicke_superposition([0.2 + 1j, -0.4, 0.9 - 0.3j], n)
+    return kinds
+
+
+def _dense_variance(state, j, square):
+    """qfi.variance's arithmetic with j @ j formed once per operator."""
+    mean = state.expectation(j).real
+    return qfi._clamp_nonneg(state.expectation(square).real - mean * mean)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_pure_route_matches_the_dense_operators_bit_for_bit(n, monkeypatch):
+    ops = collective.collective_all(n)
+    squares = [j @ j for j in ops]
+    for kind, state in _pure_kinds(n).items():
+        column = state.vector.reshape(-1, 1)
+        for got, j in zip(qfi._pure_products(column, n), ops):
+            assert got.tobytes() == (j @ column).tobytes(), kind
+        dense = [_dense_variance(state, j, sq) for j, sq in zip(ops, squares)]
+        assert _hex(qfi.collective_variances(state)) == _hex(dense), kind
+        if n <= 6:
+            assert _hex(dense) == _hex(qfi.variance(state, j) for j in ops)
+        pure = qfi.qfi_matrix(state)
+        with monkeypatch.context() as m:
+            m.setattr(qfi, "_pure_products", lambda col, n: [j @ col for j in ops])
+            reference = qfi.qfi_matrix(state)
+        assert _hex(pure.mat.ravel()) == _hex(reference.mat.ravel()), kind
+        assert float.hex(pure.imag_residue) == float.hex(reference.imag_residue)
