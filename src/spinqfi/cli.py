@@ -30,7 +30,7 @@ from .states import StateSpec
 class AnalysisConfig:
     tol_violation: float = criteria.TOL_VIOLATION
     eps_rank: float = qfi.EPS_RANK
-    fd_step: float = interferometer.FD_STEP
+    fd_step: float = 1e-4  # echoed; crb reads the exact derivative
     seed: int = 0
     dimension_cap: int = DIM_CAP  # above DIM_CAP, held (and echoed) as DIM_CAP
 
@@ -335,8 +335,7 @@ def cmd_crb(args) -> int:
                     "ordering_ok": True, "status": "unbounded-variance"})
     else:
         meas = build_measurement(state)
-        detail = interferometer.classical_fisher_report(state, setting, meas,
-                                                        h=cfg.fd_step)
+        detail = interferometer.classical_fisher_report(state, setting, meas)
         fcl = detail["value"]
         doc.update({
             "fisher_classical": fcl,

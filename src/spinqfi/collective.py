@@ -5,8 +5,9 @@ fixes bitstring conventions for the Dicke constructors and the file format.
 One table, _entries, states every nonzero entry of J_x, J_y, J_z, J_x^2 and
 J_y^2 once. It writes the dense 2^N x 2^N J of the mixed-state route, which
 alone is memoized per (axis, N) and returned read-only, the dense J^2 (fresh
-per call), and the offsets and values that the pure-state route writes into
-its slabs (slab_entries).
+per call), the offsets and values that the pure-state route writes into
+its slabs (slab_entries), and the bit-flip terms of J_n that the
+interferometer applies to a rotated state (direction_terms).
 """
 from __future__ import annotations
 
@@ -133,6 +134,22 @@ def slab_entries(ops: tuple, n_qubits: int, width: int, columns: bool = False):
                     arr.reshape(-1, blocks, width).transpose(1, 0, 2)
             at += step
     return _readonly(offsets), _readonly(values)
+
+
+def direction_terms(n, n_qubits: int) -> list:
+    """J_n = n_x J_x + n_y J_y + n_z J_z read off the table as (columns,
+    values) pairs of 2^N entries each: (J_n a)_i is the sum over pairs of
+    values[i] a[columns[i]], for a vector or the rows of a matrix a. One pair
+    per flipped bit of each nonzero component and one for J_z's diagonal, so
+    J_n a costs O(N 2^N) per column of a."""
+    rows = np.arange(2 ** n_qubits)
+    pairs = []
+    for weight, axis in zip(check_direction(n), AXES):
+        if weight:
+            for cols, part, values in _entries(axis, n_qubits, rows):
+                cols, values = np.broadcast_arrays(cols, weight * (1j if part else 1.0) * values)
+                pairs += zip(cols.reshape(-1, rows.size), values.reshape(-1, rows.size))
+    return pairs
 
 
 def collective_all(n_qubits: int):

@@ -2,30 +2,38 @@
 against the quantum Cramer-Rao bound.
 
 The phase map rho -> exp(-i theta J_n) rho exp(+i theta J_n) rotates each
-qubit and a measurement is a basis change plus outcome labels, so no 2^N x 2^N
-projector is formed. A pure state is rotated as a vector. A white-noise mix
-(states.white_noise_mix, a base and one weight p) is rotated as its base and
-keeps p, since 1/d is rotation invariant with populations 1/d; no dense rho is
-built for it, and over a pure base its F_Q is the base's scaled
-(qfi.qfi_direction), so `crb` on such a mix costs what the pure base costs.
-Classical Fisher information comes from central finite differences of the
-outcome probabilities; outcomes below a probability floor are excluded
-(their derivative contribution is dropped and counted).
+qubit by u = exp(-i theta n.sigma/2), and a measurement is a basis change B
+plus outcome labels, so no 2^N x 2^N projector is formed. A pure state is
+rotated as a vector, a dense one as a matrix from both sides. A white-noise
+mix (states.white_noise_mix, a base and one weight P) is rotated as its base
+and keeps P, since 1/d is rotation invariant with populations 1/d: p = P p_base
++ (1 - P) share and p' = P p'_base. No dense rho is built for it, and over a
+pure base its F_Q is the base's scaled (qfi.qfi_direction), so `crb` on such a
+mix costs what the pure base costs.
+
+The classical Fisher information sum_k p_k'^2 / p_k takes one pass into the
+measurement frame and the exact phase derivative there. With rho~ the rotated
+state and J_m = B^dagger J_n B, dp_i/dtheta = 2 Im (J_m rho~)_ii, binned by
+outcome label. For a 2x2 B the pass is U = B^dagger u on every qubit, and J_m
+is J_n with n carried through B's frame change, read off the operator table
+at O(N 2^N); a dense rho~ needs only the diagonal of J_m rho~. For a dense B
+the state is rotated by u, and B^dagger is applied to it and to J_n times it.
+Outcomes below a probability floor are excluded (their derivative
+contribution is dropped and counted).
 """
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .collective import IDENTITY_2, check_axis, check_direction, j_direction
+from .collective import IDENTITY_2, check_axis, check_direction, direction_terms, j_direction
 from .errors import ValidationError
 from .matcore import check_qubits, eigh, herm_exp
 from .states import BASIS_ROTATION, QuantumState, _pure_state, apply_local_unitary
 
-FD_STEP = 1e-4
 P_FLOOR = 1e-12
 
 
@@ -106,13 +114,21 @@ class Measurement:
 
     def probabilities(self, state: QuantumState) -> np.ndarray:
         """Tr(P_k rho) per outcome: populations in the basis B, binned by label."""
-        base, p = state.noise or (state, None)
-        out = _rotate(base, self.basis.conj().T)
-        pops = np.abs(out) ** 2 if base.is_pure else np.diagonal(out).real
-        probs = np.bincount(self._outcome_of, weights=pops, minlength=len(self.outcomes))
-        if p is not None:
-            probs = p * probs + (1.0 - p) * np.bincount(self._outcome_of) / self.dim
-        return probs
+        return self._read(state, IDENTITY_2)[0]
+
+    def _read(self, state: QuantumState, u: np.ndarray, gen=None) -> tuple:
+        """(p, p') per outcome for the state rotated by u on every qubit: p_k =
+        Tr(P_k rho), and p'_k the derivative of p_k as exp(-i t J_n) acts after
+        u, at t = 0, for gen = n.sigma/2 (None: p' None)."""
+        base, weight = state.noise or (state, None)
+        pops, dpops = _frame_populations(base, self.basis, u, gen)
+        probs, dprobs = (None if w is None else
+                         np.bincount(self._outcome_of, weights=w, minlength=len(self.outcomes))
+                         for w in (pops, dpops))
+        if weight is not None:
+            probs = weight * probs + (1.0 - weight) * np.bincount(self._outcome_of) / self.dim
+            dprobs = None if dprobs is None else weight * dprobs
+        return probs, dprobs
 
     projectors = property(_Projectors)
 
@@ -127,6 +143,48 @@ def _rotate(state: QuantumState, u: np.ndarray) -> np.ndarray:
     if state.is_pure:
         return _apply(u, state.vector)
     return _apply(u, _apply(u, state.rho).conj().T)
+
+
+def _frame_populations(base: QuantumState, b: np.ndarray, u, gen) -> tuple:
+    """Populations of a pure or dense base in the frame of the basis change b,
+    after u on every qubit, and with a one-qubit generator gen =
+    n.sigma/2 their derivatives 2 Im (J_m rho~)_ii as the module docstring
+    derives them; without gen, None."""
+    if b.shape == (2, 2):
+        bh = b.conj().T
+        rot = _rotate(base, bh @ u)
+        pops = np.abs(rot) ** 2 if base.is_pure else np.diagonal(rot).real
+        if gen is None:
+            return pops, None
+        terms = direction_terms(_qubit_direction(bh @ gen @ b), base.n_qubits)
+        if base.is_pure:
+            return pops, 2.0 * (rot.conj() * _apply_terms(terms, rot)).imag
+        rows = np.arange(len(rot))
+        return pops, 2.0 * sum(values * rot[cols, rows] for cols, values in terms).imag
+    rot = _rotate(base, u)
+    terms = None if gen is None else direction_terms(_qubit_direction(gen), base.n_qubits)
+    if base.is_pure:
+        cols = [rot] if gen is None else [rot, _apply_terms(terms, rot)]
+        phi = b.conj().T @ np.stack(cols, axis=1)
+        pops = np.abs(phi[:, 0]) ** 2
+        return pops, None if gen is None else 2.0 * (phi[:, 0].conj() * phi[:, 1]).imag
+    y = rot @ b  # (B^dagger X B)_ii = sum_j conj(B_ji) (X B)_ji
+    pops = np.einsum("ji,ji->i", b.conj(), y).real
+    if gen is None:
+        return pops, None
+    return pops, 2.0 * np.einsum("ji,ji->i", b.conj(), _apply_terms(terms, y)).imag
+
+
+def _qubit_direction(g: np.ndarray) -> np.ndarray:
+    """m with g = m.sigma/2, for g a traceless Hermitian 2x2 matrix. With g =
+    b^dagger (n.sigma/2) b, J_n carried into the frame of b on every qubit is J_m."""
+    return np.array([2.0 * g[1, 0].real, 2.0 * g[1, 0].imag, (g[0, 0] - g[1, 1]).real])
+
+
+def _apply_terms(terms: list, a: np.ndarray) -> np.ndarray:
+    """J a for a vector or matrix a, J given by collective.direction_terms."""
+    pad = (1,) * (a.ndim - 1)
+    return sum(values.reshape(values.shape + pad) * a[cols] for cols, values in terms)
 
 
 def evolve(state: QuantumState, setting: PhaseSetting) -> QuantumState:
@@ -144,27 +202,22 @@ def _conjugate(state: QuantumState, u: np.ndarray) -> QuantumState:
 
 
 def classical_fisher_report(state: QuantumState, setting: PhaseSetting,
-                            meas: Measurement, h: float = FD_STEP) -> dict:
-    """Classical Fisher information with finite-difference diagnostics; the
-    central-difference step h must be positive and finite."""
-    if not 0.0 < h < math.inf:  # False for NaN too
-        raise ValidationError(f"finite-difference step h must be positive and finite, got {h}")
+                            meas: Measurement) -> dict:
+    """Classical Fisher information sum_k p_k'^2 / p_k of meas on
+    exp(-i theta J_n) rho exp(i theta J_n), with the exact derivative p_k' =
+    dp_k/dtheta; outcomes with p_k below P_FLOOR are excluded and counted."""
     if meas.dim != state.dim:
         raise ValidationError("measurement dimension does not match the state")
-    shifted = (replace(setting, theta=setting.theta + dt) for dt in (0.0, -h, h))
-    p_mid, p_lo, p_hi = (meas.probabilities(evolve(state, s)) for s in shifted)
-    dp = (p_hi - p_lo) / (2.0 * h)
-    keep = p_mid >= P_FLOOR
-    value = float(np.sum(dp[keep] ** 2 / p_mid[keep]))
+    gen = j_direction(setting.direction, 1)
+    probs, dprobs = meas._read(state, herm_exp(gen, -setting.theta), gen)
+    keep = probs >= P_FLOOR
     return {
-        "value": value,
+        "value": float(np.sum(dprobs[keep] ** 2 / probs[keep])),
         "excluded_outcomes": int(np.sum(~keep)),
-        "probabilities": p_mid,
-        "step": h,
+        "probabilities": probs,
+        "derivatives": dprobs,
     }
 
 
-def classical_fisher(state: QuantumState, setting: PhaseSetting, meas: Measurement,
-                     h: float = FD_STEP) -> float:
-    return classical_fisher_report(state, setting, meas, h)["value"]
-
+def classical_fisher(state: QuantumState, setting: PhaseSetting, meas: Measurement) -> float:
+    return classical_fisher_report(state, setting, meas)["value"]

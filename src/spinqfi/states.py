@@ -304,11 +304,17 @@ def _pure_state(psi: np.ndarray, n_qubits: int, spec=None) -> QuantumState:
 
 def apply_local_unitary(psi: np.ndarray, u: np.ndarray, n_qubits: int) -> np.ndarray:
     """Apply the same 2x2 unitary to every qubit of a state vector, or of each
-    column of a 2^N x k matrix."""
-    t = psi.reshape((2,) * n_qubits + psi.shape[1:])
-    for axis in range(n_qubits):
-        t = np.moveaxis(np.tensordot(u, t, axes=([1], [axis])), 0, axis)
-    return t.reshape(psi.shape)
+    column of a 2^N x k matrix.
+
+    Each qubit is one u @ (2 x 2^N k / 2) product, the operand laid out as
+    np.tensordot lays it out, so the bits are tensordot's. The product keeps
+    the rotated bit first (bit s, then bits 0 .. s-1, then the rest), which
+    one transpose turns into the next qubit's operand; the natural order is
+    restored once at the end."""
+    t = np.dot(u, psi.reshape(2, -1))
+    for s in range(1, n_qubits):
+        t = np.dot(u, t.reshape(2, 2 ** (s - 1), 2, -1).transpose(2, 1, 0, 3).reshape(2, -1))
+    return t.reshape(2, 2 ** (n_qubits - 1), -1).transpose(1, 0, 2).reshape(psi.shape)
 
 
 def _rotate_vector(psi: np.ndarray, basis: str, n_qubits: int) -> np.ndarray:

@@ -170,3 +170,20 @@ def collective_projectors(direction, n: int):
 
 def computational_projectors(n: int):
     return [np.diag(row).astype(complex) for row in np.eye(2 ** n)]
+
+
+# ---------------------------------------------------------------- phase derivative
+
+def phase_probabilities(rho: np.ndarray, projectors, n: int, direction, theta: float,
+                        h: float):
+    """(p, dp) with p_k = Tr(P_k U rho U^dagger) at theta, U = exp(-i theta J_n)
+    from eigh of the Kronecker-built J_n, and dp_k its central difference
+    (p_k(theta + h) - p_k(theta - h)) / 2h."""
+    gen = sum(d * collective_op(axis, n) for d, axis in zip(direction, "xyz"))
+    vals, vecs = np.linalg.eigh(gen)
+
+    def probs(t):
+        u = (vecs * np.exp(-1j * t * vals)) @ vecs.conj().T
+        r = u @ rho @ u.conj().T
+        return np.array([np.trace(p @ r).real for p in projectors])
+    return probs(theta), (probs(theta + h) - probs(theta - h)) / (2.0 * h)

@@ -54,6 +54,19 @@ def test_slab_entries_write_the_dense_blocks_and_clear_to_zero(n, columns):
     assert not offsets.flags.writeable and not values.flags.writeable
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_direction_terms_apply_j_direction(n):
+    # the bit-flip pairs act as the Kronecker-built J_n on vectors and on rows
+    rng = np.random.default_rng(60 + n)
+    a = rng.normal(size=(2 ** n, 3)) + 1j * rng.normal(size=(2 ** n, 3))
+    for d in [(0.0, 0.0, 1.0), (0.0, -1.0, 0.0), helpers.random_direction(rng)]:
+        gen = sum(c * helpers.collective_op(axis, n) for c, axis in zip(d, "xyz"))
+        pairs = collective.direction_terms(d, n)
+        assert len(pairs) == sum(n if axis != "z" else 1 for c, axis in zip(d, "xyz") if c)
+        got = sum(values[:, None] * a[cols] for cols, values in pairs)
+        np.testing.assert_allclose(got, gen @ a, rtol=0, atol=1e-13)
+
+
 def test_collective_x_spectrum_three_qubits():
     vals = np.linalg.eigvalsh(collective.collective_j("x", 3))
     np.testing.assert_allclose(vals, [-1.5, -0.5, -0.5, -0.5, 0.5, 0.5, 0.5, 1.5],

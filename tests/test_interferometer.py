@@ -142,7 +142,7 @@ def test_ghz_parity_attains_quantum_limit(n):
     st = states.ghz(n, "z")
     setting = itf.PhaseSetting(math.pi / (2 * n), (0.0, 0.0, 1.0))
     fcl = itf.classical_fisher(st, setting, itf.Measurement.parity("x", n))
-    assert abs(fcl - n * n) / (n * n) <= 1e-6
+    assert abs(fcl - n * n) / (n * n) <= 1e-12
 
 
 def test_report_counts_dead_outcomes():
@@ -151,25 +151,45 @@ def test_report_counts_dead_outcomes():
     rep = itf.classical_fisher_report(st, setting, itf.Measurement.computational(2))
     # rotation about z keeps |01>, |10> unpopulated
     assert rep["excluded_outcomes"] == 2
-    assert rep["probabilities"].shape == (4,)
-    assert rep["step"] == 1e-4
+    assert rep["probabilities"].shape == rep["derivatives"].shape == (4,)
 
 
-def test_step_halving_converges():
-    st = states.ghz(4, "z")
-    setting = itf.PhaseSetting(0.19, (0.0, 0.0, 1.0))
-    meas = itf.Measurement.parity("x", 4)
-    full = itf.classical_fisher(st, setting, meas, h=1e-4)
-    half = itf.classical_fisher(st, setting, meas, h=5e-5)
-    assert abs(full - half) / max(abs(half), 1e-12) < 1e-5
-
-
-@pytest.mark.parametrize("h", [0.0, -1e-4, math.nan, math.inf])
-def test_finite_difference_step_must_be_positive_and_finite(h):
-    # unchecked, h = 0 divides by zero and h = nan is blamed on theta
-    setting = itf.PhaseSetting(0.1, (0.0, 0.0, 1.0))
-    with pytest.raises(ValidationError, match="finite-difference step h"):
-        itf.classical_fisher_report(states.ghz(3), setting, itf.Measurement.parity("x", 3), h=h)
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_exact_derivative_matches_finite_differences(n):
+    # a second route: dense projectors, exp(-i theta J_n) from eigh, central
+    # differences; their error shrinks 4x per halved step towards the exact p'
+    rng = np.random.default_rng(9100 + n)
+    pure = [states.ghz(n, "z"), states._pure_state(helpers.haar_ket(2 ** n, rng), n)]
+    dense = states.from_matrix(helpers.ginibre_mixed(n, rng), n)
+    bases = pure + [dense]
+    cases = bases + [states.white_noise_mix(st, 0.6) for st in bases]
+    d = helpers.random_direction(rng)
+    theta = rng.uniform(0.05, 0.5)
+    setting = itf.PhaseSetting(theta, tuple(d))
+    q = helpers.random_projective_measurement(2 ** n, rng)
+    measurements = [(itf.Measurement.parity(a, n), helpers.parity_projectors(a, n))
+                    for a in "xyz"]
+    measurements += [
+        (itf.Measurement.computational(n), helpers.computational_projectors(n)),
+        (itf.Measurement.collective(d, n), helpers.collective_projectors(d, n)),
+        (itf.Measurement(np.arange(2 ** n), q), [np.outer(c, c.conj()) for c in q.T])]
+    halvings = 0
+    for st, (meas, projs) in itertools.product(cases, measurements):
+        rep = itf.classical_fisher_report(st, setting, meas)
+        p, fd = helpers.phase_probabilities(st.rho, projs, n, d, theta, 1e-4)
+        _, fd_half = helpers.phase_probabilities(st.rho, projs, n, d, theta, 5e-5)
+        np.testing.assert_allclose(rep["probabilities"], p, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(rep["derivatives"], (4.0 * fd_half - fd) / 3.0,
+                                   rtol=0, atol=1e-9)
+        err, err_half = fd - rep["derivatives"], fd_half - rep["derivatives"]
+        big = np.abs(err) > 1e-9  # truncation well above rounding (about 1e-12)
+        assert np.all(np.abs(err[big] / err_half[big] - 4.0) < 0.2)
+        halvings += int(np.sum(big))
+        keep = p >= itf.P_FLOOR
+        want = float(np.sum(fd_half[keep] ** 2 / p[keep]))
+        assert abs(rep["value"] - want) <= 1e-6 * max(want, 1.0)
+        assert rep["excluded_outcomes"] == int(np.sum(~keep))
+    assert halvings > 0
 
 
 def test_dimension_mismatch_rejected():

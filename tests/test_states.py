@@ -562,3 +562,19 @@ def test_apply_local_unitary_matches_kron():
     cols = rng.normal(size=(8, 5)) + 1j * rng.normal(size=(8, 5))
     np.testing.assert_allclose(states.apply_local_unitary(cols, u, 3),
                                helpers.kron_chain([u] * 3) @ cols, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+def test_apply_local_unitary_keeps_the_bits_of_tensordot(n):
+    # the rotated Dicke and GHZ states of the golden corpus depend on these bits
+    rng = np.random.default_rng(37 + n)
+    u, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    for shape in [(2 ** n,), (2 ** n, 1), (2 ** n, 3)]:
+        a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        for op in (u, u.conj().T):  # C- and F-ordered
+            t = a.reshape((2,) * n + shape[1:])
+            for axis in range(n):
+                t = np.moveaxis(np.tensordot(op, t, axes=([1], [axis])), 0, axis)
+            got = states.apply_local_unitary(a, op, n)
+            assert got.shape == shape
+            assert np.array_equal(got.view(float), t.reshape(shape).view(float))
