@@ -139,10 +139,17 @@ def _apply(u: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 
 def _rotate(state: QuantumState, u: np.ndarray) -> np.ndarray:
-    """U psi for a pure state, else U rho U^dagger, for U as in _apply."""
+    """U psi for a pure state, else U rho U^dagger = U (U rho)^dagger, for U =
+    u on every qubit. Besides rho, a dense state holds the result and one work
+    array of its size at a time."""
+    n = state.n_qubits
     if state.is_pure:
-        return _apply(u, state.vector)
-    return _apply(u, _apply(u, state.rho).conj().T)
+        return apply_local_unitary(state.vector, u, n)
+    half = apply_local_unitary(state.rho, u, n)
+    turned = np.empty_like(half)
+    np.conjugate(half.T, out=turned)  # C-ordered, so that no reshape copies it
+    del half
+    return apply_local_unitary(turned, u, n, out=turned)
 
 
 def _frame_populations(base: QuantumState, b: np.ndarray, u, gen) -> tuple:

@@ -27,6 +27,13 @@ or below it leaves s = 0. qfi_matrix keeps the dense route for such mixes for
 now: the benchmark's reference stdout of `analyze` and `landscape noise_line`
 on them is pinned by sha256, and the closed form moves their last bits.
 
+Weight 0 is the exception: such a mix (states.completely_mixed among them) is
+1/2^N whatever its base, so qfi_matrix, qfi_direction and
+collective_variances return zeros, 0.0 and N/4 per axis before any support,
+spectrum, rho or J is built. These are the dense route's bits: its eigenvalues
+are all 1/2^N, every pair weight is +0.0, and the trace of J_a^2 / 2^N is N/4
+exactly.
+
 A pure state reads no dense J. Its J_a psi, and the diagonals of psi psi^dag
 J_a and psi psi^dag J_a^2 that collective_variances sums for the criteria's
 variance floor, come from slabs of BLOCK rows (or columns) of each operator,
@@ -49,7 +56,7 @@ import numpy as np
 from .collective import AXES, check_direction, collective_all, dense, slab_entries
 from .errors import NumericalError, ValidationError
 from .matcore import require_hermitian
-from .states import EPS_RANK, QuantumState
+from .states import EPS_RANK, QuantumState, check_rank_cutoff
 
 BLOCK = 16  # rows (or columns) of each operator per slab of the pure route
 CLAMP = 1e-10
@@ -131,22 +138,27 @@ def qfi_matrix(state: QuantumState, eps_rank: float = EPS_RANK) -> QfiMatrix:
     A pure state forms J_i psi from row slabs, bit for bit the dense J_i @ psi;
     any other state multiplies its support by the memoized dense J. The J_i V
     blocks are kept only for a rank-deficient support, whose completeness
-    term reads them. A white-noise mix over a pure base still
-    completes a dense 2^N x 2^N basis here, and is the second route the tests
-    hold qfi_direction's closed form to. ROADMAP item 2 moves this function
-    onto the same scale once the benchmark's reference stdout is recorded
-    again (item 1)."""
+    term reads them; a full-rank support holds one at a time. A white-noise
+    mix over a pure base still completes a dense 2^N x 2^N basis here, and is
+    the second route the tests hold qfi_direction's closed form to. ROADMAP
+    item 2 moves this function onto the same scale once the benchmark's
+    reference stdout is recorded again (item 1). A mix of weight 0 is the zero
+    matrix, read off the weight."""
+    if state.is_completely_mixed:
+        check_rank_cutoff(eps_rank)
+        return QfiMatrix(mat=np.zeros((3, 3)))
     lam, vs = state.support(eps_rank)
     vh = vs.conj().T
-    if state.is_pure:
-        b = _pure_products(vs, state.n_qubits)
-    else:
-        b = [j @ vs for j in collective_all(state.n_qubits)]
-    a = [vh @ bi for bi in b]
-    del vh
     full_rank = vs.shape[1] == state.dim
-    if full_rank:
-        del b
+    blocks = (_pure_products(vs, state.n_qubits) if state.is_pure
+              else (j @ vs for j in collective_all(state.n_qubits)))
+    a, b = [], []
+    for bi in blocks:
+        a.append(vh @ bi)
+        if not full_rank:
+            b.append(bi)
+        del bi  # before the next block is made
+    del vh
 
     pair_diff = lam[:, None] - lam[None, :]
     w = 2.0 * pair_diff * pair_diff / (lam[:, None] + lam[None, :])
@@ -189,9 +201,13 @@ def qfi_direction(state: QuantumState, n, eps_rank: float = EPS_RANK) -> float:
     others of |<psi|J_n|k>|^2 is Var_psi(J_n) = F_Q[psi, J_n] / 4. The cutoff
     applies as QuantumState.support applies it: a floor f <= eps_rank is
     dropped, and the completeness term leaves s = lam; lam <= eps_rank leaves
-    0. No spectrum, Householder basis or rho is formed. Any other state runs
-    qfi_matrix.
+    0. No spectrum, Householder basis or rho is formed. A mix of weight 0 is
+    0.0. Any other state runs qfi_matrix.
     """
+    if state.is_completely_mixed:
+        check_direction(n)
+        check_rank_cutoff(eps_rank)
+        return 0.0
     base, p = state.noise or (state, None)
     if p is None or not base.is_pure:
         return qfi_matrix(state, eps_rank).direction(n)
@@ -243,8 +259,11 @@ def collective_variances(state: QuantumState) -> tuple:
     other two sizes, so the bits are the dense products'. Any other state runs
     rho against the cached J and the dense J^2. J_z is diagonal, so
     (rho J_z)_ii is rho_ii jz_i rounded once, and numpy sums a diagonal in
-    the same order as the trace."""
+    the same order as the trace. A mix of weight 0 is N/4 on every axis, read
+    off the weight."""
     n, dim = state.n_qubits, state.dim
+    if state.is_completely_mixed:
+        return (n / 4,) * 3
     psi = state.vector
     if psi is None:
         rho = state.rho

@@ -6,9 +6,12 @@ cap. A pure state holds its vector. A white-noise mix is the one noise model of
 the package, p rho + (1 - p) 1/2^N: it holds its pure or dense base and one
 weight p, the product of every weight applied to that base, so a mix of a mix
 multiplies its weight in. Both build a dense rho only when first asked.
-completely_mixed, raw_matrix, mix and evolved mixed states hold their density
-matrix. A pure state's spectral decomposition is completed analytically (rank
-one) instead of running a full eigendecomposition of a 2^N matrix.
+completely_mixed is such a mix of weight 0 over |0...0>, and any mix of weight
+0 is 1/2^N whatever its base (QuantumState.is_completely_mixed): qfi reads F = 0
+and Var(J_a) = N/4 off the weight, so nothing dense is built for it. raw_matrix,
+mix and evolved mixed states hold their density matrix. A pure state's spectral
+decomposition is completed analytically (rank one) instead of running a full
+eigendecomposition of a 2^N matrix.
 """
 from __future__ import annotations
 
@@ -225,6 +228,12 @@ class QuantumState:
         return self._vector is not None
 
     @property
+    def is_completely_mixed(self) -> bool:
+        """A white-noise mix of weight exactly 0, which is 1/2^N whatever its
+        base; a chain whose weights multiply (or underflow) to 0.0 is one too."""
+        return self.noise is not None and self.noise[1] == 0.0
+
+    @property
     def vector(self) -> Optional[np.ndarray]:
         return self._vector
 
@@ -250,8 +259,7 @@ class QuantumState:
         spectrum is returned as it is held, read-only and uncopied. eps must be
         nonnegative and finite (ValidationError otherwise).
         """
-        if not 0.0 <= eps < math.inf:  # False for NaN too
-            raise ValidationError(f"rank cutoff eps must be nonnegative and finite, got {eps}")
+        check_rank_cutoff(eps)
         if self._vector is not None:
             return np.array([1.0]), self._vector.reshape(-1, 1)
         dec = self.spectrum
@@ -262,6 +270,12 @@ class QuantumState:
 
     def expectation(self, a: np.ndarray) -> complex:
         return complex(np.trace(self.rho @ a))
+
+
+def check_rank_cutoff(eps: float) -> None:
+    """A rank cutoff must be nonnegative and finite (ValidationError otherwise)."""
+    if not 0.0 <= eps < math.inf:  # False for NaN too
+        raise ValidationError(f"rank cutoff eps must be nonnegative and finite, got {eps}")
 
 
 def _frozen(rho) -> np.ndarray:
@@ -302,19 +316,30 @@ def _pure_state(psi: np.ndarray, n_qubits: int, spec=None) -> QuantumState:
     return QuantumState(None, n_qubits, vector=psi, spec=spec)
 
 
-def apply_local_unitary(psi: np.ndarray, u: np.ndarray, n_qubits: int) -> np.ndarray:
+def apply_local_unitary(psi: np.ndarray, u: np.ndarray, n_qubits: int,
+                        out: Optional[np.ndarray] = None) -> np.ndarray:
     """Apply the same 2x2 unitary to every qubit of a state vector, or of each
-    column of a 2^N x k matrix.
+    column of a 2^N x k matrix, into `out` (a new complex array if None).
 
     Each qubit is one u @ (2 x 2^N k / 2) product, the operand laid out as
     np.tensordot lays it out, so the bits are tensordot's. The product keeps
     the rotated bit first (bit s, then bits 0 .. s-1, then the rest), which
     one transpose turns into the next qubit's operand; the natural order is
-    restored once at the end."""
-    t = np.dot(u, psi.reshape(2, -1))
+    restored once at the end. The products go into one work array and the
+    transposes into `out`, so two arrays of psi's size are made at most. `out`
+    (C-contiguous complex, psi's shape) may be psi itself, which only the first
+    product reads."""
+    work = np.empty(psi.shape, dtype=complex)
+    out = np.empty(psi.shape, dtype=complex) if out is None else out
+    product, operand = work.reshape(2, -1), out.reshape(2, -1)
+    np.dot(u, psi.reshape(2, -1), out=product)
     for s in range(1, n_qubits):
-        t = np.dot(u, t.reshape(2, 2 ** (s - 1), 2, -1).transpose(2, 1, 0, 3).reshape(2, -1))
-    return t.reshape(2, 2 ** (n_qubits - 1), -1).transpose(1, 0, 2).reshape(psi.shape)
+        shape = (2, 2 ** (s - 1), 2, -1)
+        np.copyto(out.reshape(shape), work.reshape(shape).transpose(2, 1, 0, 3))
+        np.dot(u, operand, out=product)
+    np.copyto(out.reshape(2 ** (n_qubits - 1), 2, -1),
+              work.reshape(2, 2 ** (n_qubits - 1), -1).transpose(1, 0, 2))
+    return out
 
 
 def _rotate_vector(psi: np.ndarray, basis: str, n_qubits: int) -> np.ndarray:
@@ -450,12 +475,12 @@ def excited_dicke(n_qubits: int, basis: str = "z") -> QuantumState:
 
 
 def completely_mixed(n_qubits: int) -> QuantumState:
+    """1/2^N, as white noise of weight 0 over |0...0>: it holds that base vector
+    and no dense rho or spectrum."""
     check_qubits(n_qubits)
-    dim = 2 ** n_qubits
-    rho = np.eye(dim, dtype=complex) / dim
-    spectrum = SpectralDecomposition(values=np.full(dim, 1.0 / dim),
-                                     vectors=np.eye(dim, dtype=complex))
-    return QuantumState(rho, n_qubits, spectrum=spectrum,
+    zero = np.zeros(2 ** n_qubits, dtype=complex)
+    zero[0] = 1.0
+    return QuantumState(None, n_qubits, noise=(_pure_state(zero, n_qubits), 0.0),
                         spec=StateSpec("completely_mixed", n_qubits))
 
 

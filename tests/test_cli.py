@@ -206,6 +206,27 @@ def test_pure_analysis_peak_memory_stays_below_one_dense_j():
     assert peak < 16 * 4 ** 10
 
 
+def test_a_large_completely_mixed_state_builds_nothing_dense(monkeypatch):
+    # one dense 2^12 x 2^12 matrix is 256 MB; F = 0 and Var = N/4 are read off
+    # the weight 0 instead
+    built = []
+    real = states.completely_mixed
+    monkeypatch.setattr(states, "completely_mixed",
+                        lambda n_qubits: built.append(real(n_qubits)) or built[-1])
+    spec = states.StateSpec("completely_mixed", 12)
+    tracemalloc.start()
+    try:
+        for document in (cli.analysis_document, cli.depth_document):
+            document(spec, AnalysisConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+    assert len(built) == 2
+    for state in built + [s.noise[0] for s in built]:
+        assert state._rho is None and state._spectrum is None
+
+
 # ------------------------------------------------------------ configuration
 
 def test_config_validation():

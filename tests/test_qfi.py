@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 from pathlib import Path
@@ -130,13 +131,53 @@ def test_white_noise_direction_is_the_closed_form_scale(source, p, seed):
     assert abs(got - want) <= 1e-13 * abs(want)
 
 
+@functools.lru_cache(maxsize=None)
+def _dense_identity_route(n, eps):
+    """The QFI matrix and variances of 1/2^N as an explicit density matrix."""
+    dense = states.from_matrix(np.eye(2 ** n) / 2 ** n, n)
+    return qfi.qfi_matrix(dense, eps), qfi.collective_variances(dense)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_weight_zero_closed_form_is_the_dense_route_bit_for_bit(n):
+    # every weight-0 mix is 1/2^N: the closed form must give the dense route's
+    # bits, signed zeros included, and build nothing dense on the way
+    rng = np.random.default_rng(500 + n)
+    pure = states._pure_state(helpers.haar_ket(2 ** n, rng), n)
+    dense = states.mix([pure, states.ghz(n, "y")], [0.4, 0.6])
+    mixes = {
+        "completely_mixed": states.completely_mixed(n),
+        "pure_base": states.white_noise_mix(pure, 0.0),
+        "dense_base": states.white_noise_mix(dense, 0.0),
+        "underflow": states.white_noise_mix(states.white_noise_mix(pure, 1e-200), 1e-200),
+    }
+    assert mixes["underflow"].noise[1] == 0.0
+    d = helpers.random_direction(rng)
+    for eps in (1e-12, 0.1, 1.0):
+        qmat, var = _dense_identity_route(n, eps)
+        for name, state in mixes.items():
+            assert _hex(qfi.qfi_matrix(state, eps).mat.ravel()) == _hex(qmat.mat.ravel()), name
+            assert _hex([qfi.qfi_direction(state, d, eps)]) == _hex([qmat.direction(d)]), name
+            assert _hex(qfi.collective_variances(state)) == _hex(var), name
+            assert state._rho is None and state._spectrum is None, name
+    assert _hex(var) == _hex([n / 4] * 3)
+    if n <= 4:  # the literal double sum, numpy only
+        rho = np.eye(2 ** n) / 2 ** n
+        assert _hex(helpers.gamma_reference(rho, n).ravel()) == _hex(qmat.mat.ravel())
+        assert _hex(helpers.variance_reference(rho, helpers.collective_op(axis, n))
+                    for axis in "xyz") == _hex(var)
+
+
 @pytest.mark.parametrize("eps", [-1.0, math.nan, math.inf])
 def test_white_noise_routes_reject_a_bad_rank_cutoff(eps):
     # unchecked, eps = nan gives [0, 0, 0] on the dense route and 3.6 on the
     # direction route; both reach QuantumState.support
     mixed = states.white_noise_mix(states.ghz(3), 0.5)
+    flat = states.completely_mixed(3)  # weight 0 returns before any support
     for call in (lambda: qfi.fisher_triple(mixed, eps),
                  lambda: qfi.qfi_direction(mixed, (0, 0, 1), eps),
+                 lambda: qfi.fisher_triple(flat, eps),
+                 lambda: qfi.qfi_direction(flat, (0, 0, 1), eps),
                  lambda: states.ghz(3).support(eps)):
         with pytest.raises(ValidationError, match="rank cutoff eps must be nonnegative and finite"):
             call()
