@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from typing import Optional
 
@@ -24,6 +24,12 @@ from . import __version__, criteria, interferometer, landscape, qfi, states
 from .errors import SpecError, SpinQfiError, ValidationError
 from .matcore import DIM_CAP, check_qubits
 from .states import StateSpec
+
+
+def _flat_dict(record) -> dict:
+    """A dataclass of scalar fields as a dict, field by field: the keys and
+    values of dataclasses.asdict without its recursive deep copy."""
+    return {field.name: getattr(record, field.name) for field in fields(record)}
 
 
 @dataclass(frozen=True)
@@ -52,7 +58,7 @@ class AnalysisConfig:
             raise ValidationError("seed must be a nonnegative integer")
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return _flat_dict(self)
 
 
 # ---------------------------------------------------------------- serialization
@@ -202,9 +208,9 @@ def analysis_document(spec: StateSpec, cfg: AnalysisConfig) -> dict:
         "qfi_matrix": [[float(v) for v in row] for row in qmat.mat],
         "qfi_matrix_eigenvalues": [float(v) for v in qmat.eigenvalues],
         "average_qfi": qmat.trace / 3.0,
-        "criteria": [asdict(r) for r in reports],
+        "criteria": [_flat_dict(r) for r in reports],
         "unentangled_summary": criteria.unentangled_summary(reports),
-        "depth_certificate": asdict(depth),
+        "depth_certificate": _flat_dict(depth),
         "diagnostics": {
             "hermiticity_residue": state.herm_residue,
             "qfi_imag_residue": qmat.imag_residue,
@@ -219,7 +225,7 @@ def depth_document(spec: StateSpec, cfg: AnalysisConfig) -> dict:
     return {
         "tool": {"name": "spinqfi", "version": __version__},
         "input_spec": spec.to_dict(),
-        "depth_certificate": asdict(criteria.depth_lower_bound(
+        "depth_certificate": _flat_dict(criteria.depth_lower_bound(
             state, cfg.tol_violation, qmat)),
     }
 

@@ -7,7 +7,12 @@ J_y^2 once. It writes the dense 2^N x 2^N J of the mixed-state route, which
 alone is memoized per (axis, N) and returned read-only, the dense J^2 (fresh
 per call), the offsets and values that the pure-state route writes into
 its slabs (slab_entries), and the bit-flip terms of J_n that the
-interferometer applies to a rotated state (direction_terms).
+interferometer applies to a rotated state (direction_terms). The slabs hold
+rows of J_x, J_y, J_z for J psi, and for the moments columns of J_x, J_x^2,
+J_y, J_y^2 two at a time, so that each pair of rows of psi psi^dag meets its
+2^N x 8 block in one 2 x 8 product: 8 4^N multiply-adds, where 16 columns side
+by side took 64 4^N (collective_variances of GHZ_x at N = 10 and 12: 20.3 and
+231 ms before, 9.2 and 118 ms after; see `qfi`).
 """
 from __future__ import annotations
 
@@ -100,16 +105,18 @@ def collective_j(axis: str, n_qubits: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def slab_entries(ops: tuple, n_qubits: int, width: int, columns: bool = False):
+def slab_entries(ops: tuple, n_qubits: int, width: int, pairs: bool = False):
     """Where the table's entries of `ops` fall in a slab of `width` rows of
     each operator stacked, a C-contiguous (len(ops) width) x 2^N complex array;
-    or, with `columns`, of `width` columns side by side, 2^N x (len(ops)
-    width). Returns (offsets, values), each (2^N / width) x count: row b holds
-    the float64 offsets into the slab's real view, and their values, for rows
-    (or columns) b width ... (b + 1) width - 1 of each operator. Column c of a
-    Hermitian operator is the conjugate of row c. width divides 2^N. The pair
-    is memoized read-only: 16 bytes per entry, (2N + 1) 2^N entries for AXES
-    and (N^2 + N + 2) 2^N for x, xx, y, yy, 10 MB at N = 12."""
+    or, with `pairs`, of `width` columns two at a time, a stack of width / 2
+    arrays 2^N x (2 len(ops)), array p holding the block's columns 2p and
+    2p + 1 of each operator side by side. Returns (offsets, values), each
+    (2^N / width) x count: row b holds the float64 offsets into the slab's
+    real view, and their values, for rows (or columns) b width ...
+    (b + 1) width - 1 of each operator. Column c of a Hermitian operator is
+    the conjugate of row c. width divides 2^N. The pair is memoized
+    read-only: 16 bytes per entry, (2N + 1) 2^N entries for AXES and
+    (N^2 + N + 2) 2^N for x, xx, y, yy, 10 MB at N = 12."""
     check_qubits(n_qubits)
     dim = 2 ** n_qubits
     blocks = dim // width
@@ -123,8 +130,9 @@ def slab_entries(ops: tuple, n_qubits: int, width: int, columns: bool = False):
     for q, op in enumerate(ops):
         for partner, part, vals in _entries(op, n_qubits, anchors):
             partner, vals = np.broadcast_arrays(partner, vals)
-            if columns:
-                flat = partner * (2 * len(ops) * width) + 2 * (q * width + slot) + part
+            if pairs:
+                cell = (slot // 2 * dim + partner) * (2 * len(ops)) + 2 * q + slot % 2
+                flat = 2 * cell + part
                 vals = -vals if part else vals
             else:
                 flat = (q * width + slot) * (2 * dim) + 2 * partner + part

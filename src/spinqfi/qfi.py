@@ -36,15 +36,23 @@ exactly.
 
 A pure state reads no dense J. Its J_a psi, and the diagonals of psi psi^dag
 J_a and psi psi^dag J_a^2 that collective_variances sums for the criteria's
-variance floor, come from slabs of BLOCK rows (or columns) of each operator,
-written from the table in `collective` into one zeroed buffer per call and
-cleared after each block. J psi costs the dense gemv's 3 * 4^N multiply-adds;
-the moments, BLOCK rows psi[lo:hi] psi^dag against a 2^N x 4 BLOCK slab per
-block, cost 4 * BLOCK * 4^N. Any other state runs the memoized dense J, and
-its moments four dense products, 4 * 8^N. Both routes give the same bits:
-OpenBLAS sums each entry over all 2^N terms in the same order whatever the
-other two sizes of the product (tests/test_qfi.py pins this). `variance`
-serves any other observable.
+variance floor, come from slabs of BLOCK rows (or columns, in pairs) of each
+operator, written from the table in `collective` into one zeroed buffer per
+call and cleared after each block. J psi costs the dense gemv's 3 * 4^N
+multiply-adds. The moments take the rows psi[lo:hi] psi^dag two at a time,
+each pair 2 x 2^N against the 2^N x 8 block of its two columns of J_x, J_x^2,
+J_y and J_y^2, the BLOCK / 2 pairs of a block in one stacked matmul: 8 * 4^N
+multiply-adds, against 64 * 4^N for the BLOCK x 2^N by 2^N x 4 BLOCK column
+slab this replaced (collective_variances of GHZ_x, in-process medians on a
+2-core machine: 20.3 -> 9.2 ms at N = 10, 231 -> 118 ms at N = 12). Any other
+state runs the memoized dense J, and its moments four dense products,
+4 * 8^N; a faster mixed route waits on the benchmark's pass-count tail
+(ROADMAP item 1; CHANGES.md FOUND lines 29 and 33). Both routes give the same
+bits: OpenBLAS sums each entry over all 2^N terms in the same order whatever
+the other two sizes of the product, as long as it is at least 2 x 4
+(tests/test_qfi.py pins this). A 2 x 2 product takes another kernel and
+loses the bits, so all four operators of a pair share one 2 x 8 product.
+`variance` serves any other observable.
 """
 from __future__ import annotations
 
@@ -102,14 +110,14 @@ class QfiMatrix:
         return _clamp_nonneg(float(n @ self.mat @ n))
 
 
-def _pure_slabs(ops, n_qubits: int, columns: bool = False):
-    """For each block of BLOCK rows (or columns): the slab, a zeroed buffer,
-    with the block's entries of `ops` written in, and its first index. The
-    entries are cleared again before the next block is written."""
+def _pure_slabs(ops, n_qubits: int, pairs: bool = False):
+    """For each block of BLOCK rows (or columns, in pairs): the slab, a
+    zeroed buffer, with the block's entries of `ops` written in, and its first
+    index. The entries are cleared again before the next block is written."""
     dim = 2 ** n_qubits
     width = min(BLOCK, dim)
-    offsets, values = slab_entries(ops, n_qubits, width, columns)
-    shape = (dim, len(ops) * width) if columns else (len(ops) * width, dim)
+    offsets, values = slab_entries(ops, n_qubits, width, pairs)
+    shape = (width // 2, dim, 2 * len(ops)) if pairs else (len(ops) * width, dim)
     slab = np.zeros(shape, dtype=complex)
     flat = slab.reshape(-1).view(float)
     for b, lo in enumerate(range(0, dim, width)):
@@ -253,14 +261,15 @@ def collective_variances(state: QuantumState) -> tuple:
     `variance` gives for each cached J.
 
     Only the diagonals of rho J_a and rho J_a^2 are formed. A pure state
-    takes BLOCK rows psi[lo:hi] psi^dag at a time against one column slab
-    holding columns lo:hi of J_x, J_x^2, J_y and J_y^2, in one matmul;
-    OpenBLAS sums each entry over all 2^N terms in the same order whatever the
-    other two sizes, so the bits are the dense products'. Any other state runs
-    rho against the cached J and the dense J^2. J_z is diagonal, so
-    (rho J_z)_ii is rho_ii jz_i rounded once, and numpy sums a diagonal in
-    the same order as the trace. A mix of weight 0 is N/4 on every axis, read
-    off the weight."""
+    takes BLOCK rows psi[lo:hi] psi^dag at a time, two by two: rows i and
+    i + 1 against columns i and i + 1 of J_x, J_x^2, J_y and J_y^2, one 2 x 8
+    product per pair and one stacked matmul per block, keeping the 8 diagonal
+    entries of each. OpenBLAS sums each entry over all 2^N terms in the same
+    order whatever the other two sizes, so the bits are the dense products'.
+    Any other state runs rho against the cached J and the dense J^2. J_z is
+    diagonal, so (rho J_z)_ii is rho_ii jz_i rounded once, and numpy sums a
+    diagonal in the same order as the trace. A mix of weight 0 is N/4 on
+    every axis, read off the weight."""
     n, dim = state.n_qubits, state.dim
     if state.is_completely_mixed:
         return (n / 4,) * 3
@@ -273,13 +282,13 @@ def collective_variances(state: QuantumState) -> tuple:
             moments += [np.diagonal(rho @ j).copy(), np.diagonal(rho @ dense(axis * 2, n)).copy()]
     else:
         bra, width = psi.conj(), min(BLOCK, dim)
-        parts = []
-        for slab, lo in _pure_slabs(("x", "xx", "y", "yy"), n, columns=True):
-            rows = np.outer(psi[lo:lo + width], bra)
-            prod = rows @ slab
-            parts.append([np.diagonal(rows[:, lo:lo + width]).copy()]
-                         + [np.diagonal(prod[:, q * width:(q + 1) * width]).copy()
-                            for q in range(4)])
+        rows, parts = np.empty((width, dim), dtype=complex), []
+        for slab, lo in _pure_slabs(("x", "xx", "y", "yy"), n, pairs=True):
+            np.multiply(psi[lo:lo + width, None], bra, out=rows)  # np.outer, into one buffer
+            # entry (p, r, 2q + r) is row and column lo + 2p + r of rho J_q
+            prod = (rows.reshape(width // 2, 2, dim) @ slab).reshape(width // 2, 2, 4, 2)
+            ends = np.diagonal(prod, axis1=1, axis2=3).transpose(1, 0, 2).reshape(4, width)
+            parts.append([np.diagonal(rows[:, lo:lo + width]).copy(), *ends])
         diag, *moments = (np.concatenate(p) for p in zip(*parts))
     out = []
     for first, second in (moments[:2], moments[2:]):

@@ -165,7 +165,7 @@ def test_analysis_document_leaves_rho_unbuilt_for_a_pure_state(monkeypatch):
     assert collective._collective_cached.cache_info() == before
     dim = built[0].dim
     assert built[0].is_pure and built[0]._rho is None
-    assert shapes == {(3 * qfi.BLOCK, dim), (dim, 4 * qfi.BLOCK)} and qfi.BLOCK < dim
+    assert shapes == {(3 * qfi.BLOCK, dim), (qfi.BLOCK // 2, dim, 8)} and qfi.BLOCK < dim
 
 
 @pytest.mark.parametrize("argv", [

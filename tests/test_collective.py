@@ -33,22 +33,27 @@ def test_collective_square_takes_only_the_transverse_axes():
         collective.dense("xx", 13)
 
 
-@pytest.mark.parametrize("columns", [False, True], ids=["rows", "columns"])
+@pytest.mark.parametrize("pairs", [False, True], ids=["rows", "columns"])
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 6])
-def test_slab_entries_write_the_dense_blocks_and_clear_to_zero(n, columns):
-    # each block of the slab holds the dense operators' rows (or columns) to
-    # the last bit, +0.0 zeros included, and clearing leaves +0.0 everywhere
+def test_slab_entries_write_the_dense_blocks_and_clear_to_zero(n, pairs):
+    # each block of the slab holds the dense operators' rows (or, two at a
+    # time, their columns) to the last bit, +0.0 zeros included, and clearing
+    # leaves +0.0 everywhere
     dim, ops = 2 ** n, collective.OPERATORS
     width = min(4, dim)
-    offsets, values = collective.slab_entries(ops, n, width, columns)
-    shape = (dim, len(ops) * width) if columns else (len(ops) * width, dim)
+    offsets, values = collective.slab_entries(ops, n, width, pairs)
+    shape = (width // 2, dim, 2 * len(ops)) if pairs else (len(ops) * width, dim)
     slab = np.zeros(shape, dtype=complex)
     flat = slab.reshape(-1).view(float)
     full = [collective.dense(op, n) for op in ops]
     for b, lo in enumerate(range(0, dim, width)):
         flat[offsets[b]] = values[b]
-        want = [d[:, lo:lo + width] if columns else d[lo:lo + width] for d in full]
-        assert slab.tobytes() == np.concatenate(want, axis=1 if columns else 0).tobytes()
+        if pairs:
+            want = np.stack([np.concatenate([d[:, i:i + 2] for d in full], axis=1)
+                             for i in range(lo, lo + width, 2)])
+        else:
+            want = np.concatenate([d[lo:lo + width] for d in full])
+        assert slab.tobytes() == want.tobytes()
         flat[offsets[b]] = 0.0
         assert slab.tobytes() == bytes(slab.nbytes)
     assert not offsets.flags.writeable and not values.flags.writeable

@@ -378,16 +378,26 @@ def test_collective_variances_bitwise_on_random_mixed_states(n, rank, seed):
     np.testing.assert_allclose(qfi.collective_variances(state), ref, atol=1e-10)
 
 
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(n=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1))
+def test_pure_collective_variances_match_the_numpy_oracle(n, seed):
+    # the pure slab route against the literal trace formula, not the dense route
+    ket = helpers.haar_ket(2 ** n, np.random.default_rng(seed))
+    state = states._pure_state(ket, n)
+    rho = np.outer(ket, ket.conj())
+    ref = [helpers.variance_reference(rho, helpers.collective_op(axis, n)) for axis in "xyz"]
+    np.testing.assert_allclose(qfi.collective_variances(state), ref, rtol=0, atol=1e-10)
+    assert state._rho is None
+
+
 # ------------------------------------------------------------ pure slab route
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_blas_sums_each_entry_in_one_order_whatever_the_slab(n):
     # The pure route rests on this: OpenBLAS sums each entry of a product over
-    # all K terms in the same order whatever the other two sizes. Random data,
-    # so no exact zero hides an order change. At N = 1 the dense product has
-    # two columns and takes another kernel than a 4 BLOCK-wide slab; every
-    # column of J there has one nonzero entry, and the pure-route test below
-    # covers it.
+    # all K terms in the same order whatever the other two sizes, as long as
+    # the product is at least 2 x 4. Random data, so no exact zero hides an
+    # order change.
     dim = 2 ** n
     rng = np.random.default_rng(n)
 
@@ -400,16 +410,23 @@ def test_blas_sums_each_entry_in_one_order_whatever_the_slab(n):
         for lo in range(0, dim - rows + 1, rows):
             slab = np.ascontiguousarray(a[lo:lo + rows])
             assert (slab @ column).tobytes() == full[lo:lo + rows].tobytes()
+    # The moments: BLOCK / 2 pairs of rows of rho stacked, each against
+    # columns i, i + 1 of four operators, one 2 x 8 product per pair, every
+    # entry as in rho @ op. At N = 1 rho @ op is 2 x 2 and takes another
+    # kernel, so the four operators are multiplied side by side there.
+    rho, ops = draw(dim, dim), [draw(dim, dim) for _ in range(4)]
     if n == 1:
-        return
+        fulls = np.split(rho @ np.concatenate(ops, axis=1), 4, axis=1)
+    else:
+        fulls = [rho @ op for op in ops]
     width = min(qfi.BLOCK, dim)
-    rho = draw(dim, dim)
-    full = rho @ a
-    picks = [rng.permutation(dim)[:width] for _ in range(4)]
-    slab = np.concatenate([a[:, cols] for cols in picks], axis=1)  # 2^N x 4 BLOCK
     for lo in range(0, dim, width):
-        want = np.concatenate([full[lo:lo + width, cols] for cols in picks], axis=1)
-        assert (np.ascontiguousarray(rho[lo:lo + width]) @ slab).tobytes() == want.tobytes()
+        pairs = range(lo, lo + width, 2)
+        slab = np.stack([np.concatenate([op[:, i:i + 2] for op in ops], axis=1) for i in pairs])
+        want = np.stack([np.concatenate([f[i:i + 2, i:i + 2] for f in fulls], axis=1)
+                         for i in pairs])
+        got = np.ascontiguousarray(rho[lo:lo + width]).reshape(width // 2, 2, dim) @ slab
+        assert got.shape == (width // 2, 2, 8) and got.tobytes() == want.tobytes()
 
 
 def _pure_kinds(n):
