@@ -3,11 +3,13 @@
 Site 1 is the most significant tensor factor throughout the package, which
 fixes bitstring conventions for the Dicke constructors and the file format.
 One table, _entries, states every nonzero entry of J_x, J_y, J_z, J_x^2 and
-J_y^2 once. It writes the dense 2^N x 2^N J of the mixed-state route, which
-alone is memoized per (axis, N) and returned read-only, the dense J^2 (fresh
-per call), the offsets and values that the pure-state route writes into
-its slabs (slab_entries), and the bit-flip terms of J_n that the
-interferometer applies to a rotated state (direction_terms). The slabs hold
+J_y^2 once. It writes the dense 2^N x 2^N J and J^2 of the mixed-state route
+(`dense`, fresh per call: that route builds each one for its product and
+drops it after; collective_j memoizes a read-only J per (axis, N) for other
+callers, such as j_direction's N = 1 operators), the offsets and values that
+the pure-state route writes into its slabs (slab_entries), and the bit-flip
+terms of J_n that the interferometer applies to a rotated state
+(direction_terms). The slabs hold
 rows of J_x, J_y, J_z for J psi, and for the moments columns of J_x, J_x^2,
 J_y, J_y^2 two at a time, so that each pair of rows of psi psi^dag meets its
 2^N x 8 block in one 2 x 8 product: 8 4^N multiply-adds, where 16 columns side

@@ -5,9 +5,10 @@ numpy complex128 arrays; this module owns the numerical conventions:
 
 * Hilbert-space dimension is capped at construction time by check_dim /
   check_qubits, the only size guard, at DIM_CAP = 2**12, the largest register
-  whose dense 2^N x 2^N arrays (a rho, the cached J) the mixed-state route
-  holds. Pure states hold none but keep the same cap; states.from_spec alone
-  passes them a caller's cap, which may lower that limit but never raise it.
+  whose dense 2^N x 2^N arrays (a rho, its eigenvectors, one J at a time)
+  the mixed-state route holds. Pure states hold none but keep the same cap;
+  states.from_spec alone passes them a caller's cap, which may lower that
+  limit but never raise it.
 * Hermitian inputs are accepted up to an absolute elementwise tolerance of
   1e-10 and symmetrized before any decomposition.
 * Eigenvalues are returned ascending, ties left in decomposition order.

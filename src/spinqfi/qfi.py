@@ -45,10 +45,14 @@ J_y and J_y^2, the BLOCK / 2 pairs of a block in one stacked matmul: 8 * 4^N
 multiply-adds, against 64 * 4^N for the BLOCK x 2^N by 2^N x 4 BLOCK column
 slab this replaced (collective_variances of GHZ_x, in-process medians on a
 2-core machine: 20.3 -> 9.2 ms at N = 10, 231 -> 118 ms at N = 12). Any other
-state runs the memoized dense J, and its moments four dense products,
-4 * 8^N; a faster mixed route waits on the benchmark's pass-count tail
-(ROADMAP item 1; CHANGES.md FOUND lines 29 and 33). Both routes give the same
-bits: OpenBLAS sums each entry over all 2^N terms in the same order whatever
+state runs the dense J, each built per product and dropped after it (about
+1 ms at N = 10), so no 2^N x 2^N operator outlives the call; its moments are
+four dense products, 4 * 8^N. Memoizing the three J kept 3 * 16 * 4^N bytes
+live during and after every call: peak RSS of white-noise GHZ_x went 641 ->
+453 MB for `analyze` at N = 11 and 2468 -> 1705 MB for `depth` at N = 12
+when the memo went. A faster mixed route waits on the benchmark's pass-count
+tail (ROADMAP item 1; CHANGES.md FOUND lines 29 and 33). Both routes give the
+same bits: OpenBLAS sums each entry over all 2^N terms in the same order whatever
 the other two sizes of the product, as long as it is at least 2 x 4
 (tests/test_qfi.py pins this). A 2 x 2 product takes another kernel and
 loses the bits, so all four operators of a pair share one 2 x 8 product.
@@ -61,7 +65,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collective import AXES, check_direction, collective_all, dense, slab_entries
+from .collective import AXES, check_direction, dense, slab_entries
 from .errors import NumericalError, ValidationError
 from .matcore import require_hermitian
 from .states import EPS_RANK, QuantumState, check_rank_cutoff
@@ -144,9 +148,10 @@ def qfi_matrix(state: QuantumState, eps_rank: float = EPS_RANK) -> QfiMatrix:
     above N^2 + 1e-6 is a NumericalError.
 
     A pure state forms J_i psi from row slabs, bit for bit the dense J_i @ psi;
-    any other state multiplies its support by the memoized dense J. The J_i V
-    blocks are kept only for a rank-deficient support, whose completeness
-    term reads them; a full-rank support holds one at a time. A white-noise
+    any other state multiplies its support by each dense J_i, built per
+    product and dropped after it. The J_i V blocks are kept only for a
+    rank-deficient support, whose completeness term reads them; a full-rank
+    support holds one at a time. A white-noise
     mix over a pure base still completes a dense 2^N x 2^N basis here, and is
     the second route the tests hold qfi_direction's closed form to. ROADMAP
     item 2 moves this function onto the same scale once the benchmark's
@@ -159,7 +164,7 @@ def qfi_matrix(state: QuantumState, eps_rank: float = EPS_RANK) -> QfiMatrix:
     vh = vs.conj().T
     full_rank = vs.shape[1] == state.dim
     blocks = (_pure_products(vs, state.n_qubits) if state.is_pure
-              else (j @ vs for j in collective_all(state.n_qubits)))
+              else (dense(axis, state.n_qubits) @ vs for axis in AXES))
     a, b = [], []
     for bi in blocks:
         a.append(vh @ bi)
@@ -258,7 +263,7 @@ def variance(state: QuantumState, a) -> float:
 
 def collective_variances(state: QuantumState) -> tuple:
     """((Delta J_x)^2, (Delta J_y)^2, (Delta J_z)^2), bit for bit what
-    `variance` gives for each cached J.
+    `variance` gives for each J.
 
     Only the diagonals of rho J_a and rho J_a^2 are formed. A pure state
     takes BLOCK rows psi[lo:hi] psi^dag at a time, two by two: rows i and
@@ -266,9 +271,10 @@ def collective_variances(state: QuantumState) -> tuple:
     product per pair and one stacked matmul per block, keeping the 8 diagonal
     entries of each. OpenBLAS sums each entry over all 2^N terms in the same
     order whatever the other two sizes, so the bits are the dense products'.
-    Any other state runs rho against the cached J and the dense J^2. J_z is
-    diagonal, so (rho J_z)_ii is rho_ii jz_i rounded once, and numpy sums a
-    diagonal in the same order as the trace. A mix of weight 0 is N/4 on
+    Any other state runs rho against the dense J and J^2, each built for its
+    product and dropped after it. J_z is diagonal, so (rho J_z)_ii is
+    rho_ii jz_i rounded once, and numpy sums a diagonal in the same order as
+    the trace. A mix of weight 0 is N/4 on
     every axis, read off the weight."""
     n, dim = state.n_qubits, state.dim
     if state.is_completely_mixed:
@@ -277,9 +283,7 @@ def collective_variances(state: QuantumState) -> tuple:
     if psi is None:
         rho = state.rho
         diag = np.diagonal(rho).copy()
-        moments = []
-        for axis, j in zip("xy", collective_all(n)):
-            moments += [np.diagonal(rho @ j).copy(), np.diagonal(rho @ dense(axis * 2, n)).copy()]
+        moments = [np.diagonal(rho @ dense(op, n)).copy() for op in ("x", "xx", "y", "yy")]
     else:
         bra, width = psi.conj(), min(BLOCK, dim)
         rows, parts = np.empty((width, dim), dtype=complex), []

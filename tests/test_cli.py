@@ -193,6 +193,27 @@ def test_pure_commands_read_no_dense_collective_operator(tmp_path, capsys, monke
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("doc", [
+    {"kind": "white_noise_mix", "p": 0.7, "inner": {"kind": "ghz", "n_qubits": 6, "basis": "x"}},
+    states.from_matrix(helpers.ginibre_mixed(4, np.random.default_rng(21)), 4).spec.to_dict(),
+], ids=["noisy-ghz6", "raw-matrix"])
+@pytest.mark.parametrize("command", ["analyze", "depth"])
+def test_mixed_commands_read_no_dense_collective_operator(tmp_path, capsys, monkeypatch,
+                                                          command, doc):
+    # the mixed route builds each J where it multiplies and drops it after
+    cached, read = collective._collective_cached, []
+
+    def spy(axis, n_qubits):
+        read.append(n_qubits)
+        return cached(axis, n_qubits)
+
+    before = cached.cache_info()
+    monkeypatch.setattr(collective, "_collective_cached", spy)
+    assert main([command, write_spec(tmp_path, "mixed.json", doc)]) == 0
+    assert read == [] and cached.cache_info() == before
+    capsys.readouterr()
+
+
 def test_pure_analysis_peak_memory_stays_below_one_dense_j():
     # 16 4^N bytes is one dense J; the slab entries are built cold here
     collective.slab_entries.cache_clear()
@@ -204,6 +225,27 @@ def test_pure_analysis_peak_memory_stays_below_one_dense_j():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 4 ** 10
+
+
+def test_noisy_analysis_peak_memory_stays_below_seven_dense_j():
+    # One block is 16 4^N bytes, one dense 2^N x 2^N complex array. The peak,
+    # 6.5 blocks, falls in qfi_matrix's pair loop: the base's Householder
+    # basis V, the three V^dag J V blocks, the pair weights w (half a block)
+    # and the loop's temporaries w A_i and conj(A_j). Each J is built for its
+    # product and dropped after it, so nothing dense outlives the call; three
+    # memoized J would add three blocks to both figures.
+    n = 9
+    block = 16 * 4 ** n
+    collective._collective_cached.cache_clear()
+    spec = states.StateSpec("white_noise_mix", n, p=0.7, inner=states.StateSpec("ghz", n, "x"))
+    tracemalloc.start()
+    try:
+        cli.analysis_document(spec, AnalysisConfig())
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 7 * block
+    assert kept < 0.1 * block
 
 
 def test_a_large_completely_mixed_state_builds_nothing_dense(monkeypatch):

@@ -223,6 +223,22 @@ def test_noise_line_matches_scaling_on_ghz():
     assert first.measured.provenance.kind == "white_noise_mix"
 
 
+@pytest.mark.parametrize("sample, sizes", [
+    (lambda: landscape.noise_line(states.ghz(8, "x"), np.linspace(0.0, 1.0, 11)), set()),
+    # product_bloch turns each qubit with the N = 1 operators, via j_direction
+    (lambda: landscape.sample_product_polytope(8, 5, seed=11), {1}),
+], ids=["noise_line", "sample_product_polytope"])
+def test_mixed_samplers_memoize_no_dense_collective_operator(sample, sizes, monkeypatch):
+    # each J of the mixed route is built for its product and dropped after it
+    cached, read = collective._collective_cached, set()
+    cached.cache_clear()
+    monkeypatch.setattr(collective, "_collective_cached",
+                        lambda axis, n_qubits: read.add(n_qubits) or cached(axis, n_qubits))
+    sample()
+    assert read == sizes
+    assert cached.cache_info().currsize == 3 * len(sizes)
+
+
 # ------------------------------------------------------------ realizing states
 
 def test_realize_product_point_interior():

@@ -469,3 +469,41 @@ def test_pure_route_matches_the_dense_operators_bit_for_bit(n, monkeypatch):
             reference = qfi.qfi_matrix(state)
         assert _hex(pure.mat.ravel()) == _hex(reference.mat.ravel()), kind
         assert float.hex(pure.imag_residue) == float.hex(reference.imag_residue)
+
+
+def _mixed_kinds(n):
+    """One state of each kind that takes the dense route at N qubits."""
+    rng = np.random.default_rng(500 + n)
+    deficient = wrap(helpers.ginibre_mixed(n, rng, rank=min(3, 2 ** n - 1)), n)
+    full = wrap(helpers.ginibre_mixed(n, rng), n)
+    setting = interferometer.PhaseSetting(0.37, (0.0, 0.6, 0.8))
+    return {
+        "noise_over_pure": states.white_noise_mix(states.ghz(n, "x"), 0.7),
+        "noise_over_dense": states.white_noise_mix(deficient, 0.6),
+        "raw_full": full,
+        "raw_deficient": deficient,
+        "mix": states.mix([states.ghz(n, "x"), states.dicke(n, n // 2, "z")], [0.3, 0.7]),
+        "evolved": interferometer.evolve(full, setting),
+    }
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_mixed_route_matches_the_memoized_operators_bit_for_bit(n, monkeypatch):
+    # the mixed route builds each J where it multiplies and drops it after;
+    # the reference reads the same J from the memo, as collective_all serves it
+    for kind, state in _mixed_kinds(n).items():
+        assert not state.is_pure, kind
+        before = collective._collective_cached.cache_info()
+        got = qfi.qfi_matrix(state)
+        assert collective._collective_cached.cache_info() == before, kind
+        variances = qfi.collective_variances(state)
+        assert collective._collective_cached.cache_info() == before, kind
+        memo = dict(zip(collective.AXES, collective.collective_all(n)))
+        with monkeypatch.context() as m:
+            m.setattr(qfi, "dense", lambda op, n_qubits: memo[op] if op in memo
+                      else collective.dense(op, n_qubits))
+            reference = qfi.qfi_matrix(state)
+            reference_variances = qfi.collective_variances(state)
+        assert _hex(got.mat.ravel()) == _hex(reference.mat.ravel()), kind
+        assert float.hex(got.imag_residue) == float.hex(reference.imag_residue), kind
+        assert _hex(variances) == _hex(reference_variances), kind
