@@ -5,7 +5,8 @@ significant digits so documents round-trip losslessly and identical inputs
 produce byte-identical outputs (no timestamps, no environment echoes).
 
 Exit codes: 0 success, 2 parse error, 3 validation error, 4 numerical
-failure, 5 dimension cap exceeded.
+failure, 5 dimension cap exceeded. main(argv) returns the code in every case,
+and repeated in-process calls share one parser, built on the first of them.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, fields, replace
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -400,9 +401,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), once per process. Reuse is sound: parse_args returns a
+    fresh namespace, and no action appends or holds a mutable default."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:  # usage error (2) or --help (0); argparse wrote the text
+        return exc.code
     try:
         return args.func(args)
     except SpinQfiError as exc:

@@ -26,6 +26,7 @@ def write_spec(tmp_path, name, doc):
 
 
 GHZ4 = {"kind": "ghz", "n_qubits": 4, "basis": "z"}
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 # ------------------------------------------------------------ serialization
@@ -1048,6 +1049,129 @@ def test_crb_spec_and_cap_errors_come_before_theta(tmp_path, capsys, doc, flags,
     path = write_spec(tmp_path, "state.json", doc)
     assert main(["crb", path, "--theta", "nan", *flags]) == code
     assert json.loads(capsys.readouterr().err)["error"]["type"] == error
+
+
+# ------------------------------------------------------------ in-process use
+
+@pytest.fixture
+def parser_builds(monkeypatch):
+    """The build_parser calls made from an emptied parser memo on; the memo is
+    emptied again after, so no later test reuses the spied parser."""
+    calls, build = [], cli.build_parser
+
+    def spy():
+        calls.append(1)
+        return build()
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", spy)
+    yield calls
+    cli._parser.cache_clear()
+
+
+def test_one_parser_serves_every_subcommand(tmp_path, capsys, parser_builds):
+    path = write_spec(tmp_path, "ghz4.json", GHZ4)
+    for argv in (["analyze", path], ["depth", path], ["crb", path],
+                 ["landscape", "landmarks", "--n-qubits", "4"], ["analyze", path]):
+        assert main(argv) == 0
+    assert len(parser_builds) == 1
+    capsys.readouterr()
+
+
+def test_library_calls_and_import_build_no_parser():
+    src = str(Path(spinqfi.__file__).resolve().parents[1])
+    code = ("import spinqfi.cli as c; from spinqfi.states import StateSpec; "
+            "c.analysis_document(StateSpec('ghz', 4, 'x'), c.AnalysisConfig()); "
+            "print(c._parser.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "0"
+
+
+def test_options_do_not_leak_into_the_next_call(tmp_path, capsys):
+    path = write_spec(tmp_path, "ghz4.json", GHZ4)
+    out = tmp_path / "once.json"
+    for command, flags in (("analyze", ["--seed", "7", "--tol", "0.001"]),
+                           ("crb", ["--seed", "7", "--measurement", "random"])):
+        assert main([command, path, *flags, "--out", str(out)]) == 0
+        out.unlink()
+        assert main([command, path]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert not out.exists()
+        if command == "analyze":
+            assert doc["diagnostics"]["config"] == AnalysisConfig().to_dict()
+        else:
+            assert doc["measurement"] == "parity-x"
+
+
+@pytest.fixture
+def perfbench_ops(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import ops
+    return ops
+
+
+def test_a_reused_parser_writes_the_bytes_of_a_fresh_one(tmp_path, monkeypatch, perfbench_ops):
+    # every in-process crb op of the benchmark, and every cold CLI command
+    # given an --out, run once through main and once through a fresh parser
+    argvs, main_ = [], cli.main
+
+    def recording_main(argv):
+        argvs.append(argv)
+        return main_(argv)
+    monkeypatch.setattr(cli, "main", recording_main)
+    crb_ops = perfbench_ops.crb_measure_ops(1, str(tmp_path))
+    for op in crb_ops:
+        op.run()
+    assert len(argvs) == len(crb_ops)
+    out = str(tmp_path / "cold_out.txt")
+    argvs += [op.argv + ["--out", out] for op in perfbench_ops.cli_cold_ops(1, str(tmp_path))]
+    for argv in argvs:
+        target = argv[argv.index("--out") + 1]
+        assert main_(argv) == 0
+        reused = Path(target).read_bytes()
+        args = cli.build_parser().parse_args(argv)
+        assert args.func(args) == 0
+        assert Path(target).read_bytes() == reused, argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["crb"], ["crb", "s.json", "--theta", "abc"], ["bogus"],
+    ["landscape", "sideways", "--n-qubits", "4"],
+], ids=["missing-spec", "bad-theta", "unknown-subcommand", "bad-family"])
+def test_usage_errors_return_2_in_process(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage: spinqfi")
+
+
+@pytest.mark.parametrize("argv, code", [(["crb"], 2), (["--help"], 0)],
+                         ids=["usage-error", "help"])
+def test_in_process_usage_matches_a_fresh_process(capsys, monkeypatch, argv, code):
+    monkeypatch.setenv("COLUMNS", "80")  # the help and usage line width
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    src = str(Path(spinqfi.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "spinqfi.cli", *argv],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err)
+    assert "usage: spinqfi" in captured.out + captured.err
+
+
+@pytest.mark.parametrize("between, code", [
+    (["crb", "GHZ4", "--theta", "abc"], 2),
+    (["crb", "GHZ4", "--direction", "sideways"], 3),
+    (["crb", "GHZ4", "--max-qubits", "3"], 5),
+], ids=["usage-error", "validation-error", "cap-error"])
+def test_a_failed_call_leaves_the_next_one_unchanged(tmp_path, capsys, between, code):
+    path = write_spec(tmp_path, "ghz4.json", GHZ4)
+    argv = ["crb", path, "--measurement", "random", "--seed", "3", "--direction", "x"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    assert main([path if a == "GHZ4" else a for a in between]) == code
+    assert capsys.readouterr().out == ""
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
 
 
 # ------------------------------------------------------------ spec ids
