@@ -3,18 +3,14 @@
 Site 1 is the most significant tensor factor throughout the package, which
 fixes bitstring conventions for the Dicke constructors and the file format.
 One table, _entries, states every nonzero entry of J_x, J_y, J_z, J_x^2 and
-J_y^2 once. It writes the dense 2^N x 2^N J and J^2 of the mixed-state route
-(`dense`, fresh per call: that route builds each one for its product and
-drops it after; collective_j memoizes a read-only J per (axis, N) for other
-callers, such as j_direction's N = 1 operators), the offsets and values that
-the pure-state route writes into its slabs (slab_entries), and the bit-flip
-terms of J_n that the interferometer applies to a rotated state
-(direction_terms). The slabs hold
-rows of J_x, J_y, J_z for J psi, and for the moments columns of J_x, J_x^2,
-J_y, J_y^2 two at a time, so that each pair of rows of psi psi^dag meets its
-2^N x 8 block in one 2 x 8 product: 8 4^N multiply-adds, where 16 columns side
-by side took 64 4^N (collective_variances of GHZ_x at N = 10 and 12: 20.3 and
-231 ms before, 9.2 and 118 ms after; see `qfi`).
+J_y^2 once. It writes the dense 2^N x 2^N J and J^2 (`dense`, fresh per call:
+the mixed-state route, and the pure-state route at N <= qfi.DENSE_PURE_MAX,
+build each one for its product and drop it after; collective_j memoizes a
+read-only J per (axis, N) for other callers, such as j_direction's N = 1
+operators), and the bit-flip terms of J_n (direction_terms), which
+apply_terms applies to a vector or to the columns of a matrix at O(N 2^N)
+per column: the pure-state route above that size forms J psi this way, and
+the interferometer J_n times a rotated state.
 """
 from __future__ import annotations
 
@@ -106,46 +102,6 @@ def collective_j(axis: str, n_qubits: int) -> np.ndarray:
     return _collective_cached(axis, n_qubits)
 
 
-@lru_cache(maxsize=8)
-def slab_entries(ops: tuple, n_qubits: int, width: int, pairs: bool = False):
-    """Where the table's entries of `ops` fall in a slab of `width` rows of
-    each operator stacked, a C-contiguous (len(ops) width) x 2^N complex array;
-    or, with `pairs`, of `width` columns two at a time, a stack of width / 2
-    arrays 2^N x (2 len(ops)), array p holding the block's columns 2p and
-    2p + 1 of each operator side by side. Returns (offsets, values), each
-    (2^N / width) x count: row b holds the float64 offsets into the slab's
-    real view, and their values, for rows (or columns) b width ...
-    (b + 1) width - 1 of each operator. Column c of a Hermitian operator is
-    the conjugate of row c. width divides 2^N. The pair is memoized
-    read-only: 16 bytes per entry, (2N + 1) 2^N entries for AXES and
-    (N^2 + N + 2) 2^N for x, xx, y, yy, 10 MB at N = 12."""
-    check_qubits(n_qubits)
-    dim = 2 ** n_qubits
-    blocks = dim // width
-    anchors = np.arange(dim)
-    slot = anchors % width
-    count = sum(partner.size  # entries per row (or column)
-                for op in ops for partner, _, _ in _entries(op, n_qubits, anchors[:1]))
-    offsets = np.empty((blocks, count * width), dtype=np.intp)
-    values = np.empty((blocks, count * width))
-    at = 0
-    for q, op in enumerate(ops):
-        for partner, part, vals in _entries(op, n_qubits, anchors):
-            partner, vals = np.broadcast_arrays(partner, vals)
-            if pairs:
-                cell = (slot // 2 * dim + partner) * (2 * len(ops)) + 2 * q + slot % 2
-                flat = 2 * cell + part
-                vals = -vals if part else vals
-            else:
-                flat = (q * width + slot) * (2 * dim) + 2 * partner + part
-            step = flat.size // blocks
-            for arr, out in ((flat, offsets), (vals, values)):
-                out[:, at:at + step].reshape(blocks, -1, width)[...] = \
-                    arr.reshape(-1, blocks, width).transpose(1, 0, 2)
-            at += step
-    return _readonly(offsets), _readonly(values)
-
-
 def direction_terms(n, n_qubits: int) -> list:
     """J_n = n_x J_x + n_y J_y + n_z J_z read off the table as (columns,
     values) pairs of 2^N entries each: (J_n a)_i is the sum over pairs of
@@ -160,6 +116,12 @@ def direction_terms(n, n_qubits: int) -> list:
                 cols, values = np.broadcast_arrays(cols, weight * (1j if part else 1.0) * values)
                 pairs += zip(cols.reshape(-1, rows.size), values.reshape(-1, rows.size))
     return pairs
+
+
+def apply_terms(terms: list, a: np.ndarray) -> np.ndarray:
+    """J a for a vector or matrix a, J given by direction_terms."""
+    pad = (1,) * (a.ndim - 1)
+    return sum(values.reshape(values.shape + pad) * a[cols] for cols, values in terms)
 
 
 def collective_all(n_qubits: int):

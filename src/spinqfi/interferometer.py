@@ -29,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collective import IDENTITY_2, check_axis, check_direction, direction_terms, j_direction
+from .collective import (IDENTITY_2, apply_terms, check_axis, check_direction, direction_terms,
+                         j_direction)
 from .errors import ValidationError
 from .matcore import check_qubits, eigh, herm_exp
 from .states import BASIS_ROTATION, QuantumState, _pure_state, apply_local_unitary
@@ -165,13 +166,13 @@ def _frame_populations(base: QuantumState, b: np.ndarray, u, gen) -> tuple:
             return pops, None
         terms = direction_terms(_qubit_direction(bh @ gen @ b), base.n_qubits)
         if base.is_pure:
-            return pops, 2.0 * (rot.conj() * _apply_terms(terms, rot)).imag
+            return pops, 2.0 * (rot.conj() * apply_terms(terms, rot)).imag
         rows = np.arange(len(rot))
         return pops, 2.0 * sum(values * rot[cols, rows] for cols, values in terms).imag
     rot = _rotate(base, u)
     terms = None if gen is None else direction_terms(_qubit_direction(gen), base.n_qubits)
     if base.is_pure:
-        cols = [rot] if gen is None else [rot, _apply_terms(terms, rot)]
+        cols = [rot] if gen is None else [rot, apply_terms(terms, rot)]
         phi = b.conj().T @ np.stack(cols, axis=1)
         pops = np.abs(phi[:, 0]) ** 2
         return pops, None if gen is None else 2.0 * (phi[:, 0].conj() * phi[:, 1]).imag
@@ -179,19 +180,13 @@ def _frame_populations(base: QuantumState, b: np.ndarray, u, gen) -> tuple:
     pops = np.einsum("ji,ji->i", b.conj(), y).real
     if gen is None:
         return pops, None
-    return pops, 2.0 * np.einsum("ji,ji->i", b.conj(), _apply_terms(terms, y)).imag
+    return pops, 2.0 * np.einsum("ji,ji->i", b.conj(), apply_terms(terms, y)).imag
 
 
 def _qubit_direction(g: np.ndarray) -> np.ndarray:
     """m with g = m.sigma/2, for g a traceless Hermitian 2x2 matrix. With g =
     b^dagger (n.sigma/2) b, J_n carried into the frame of b on every qubit is J_m."""
     return np.array([2.0 * g[1, 0].real, 2.0 * g[1, 0].imag, (g[0, 0] - g[1, 1]).real])
-
-
-def _apply_terms(terms: list, a: np.ndarray) -> np.ndarray:
-    """J a for a vector or matrix a, J given by collective.direction_terms."""
-    pad = (1,) * (a.ndim - 1)
-    return sum(values.reshape(values.shape + pad) * a[cols] for cols, values in terms)
 
 
 def evolve(state: QuantumState, setting: PhaseSetting) -> QuantumState:

@@ -34,29 +34,23 @@ spectrum, rho or J is built. These are the dense route's bits: its eigenvalues
 are all 1/2^N, every pair weight is +0.0, and the trace of J_a^2 / 2^N is N/4
 exactly.
 
-A pure state reads no dense J. Its J_a psi, and the diagonals of psi psi^dag
-J_a and psi psi^dag J_a^2 that collective_variances sums for the criteria's
-variance floor, come from slabs of BLOCK rows (or columns, in pairs) of each
-operator, written from the table in `collective` into one zeroed buffer per
-call and cleared after each block. J psi costs the dense gemv's 3 * 4^N
-multiply-adds. The moments take the rows psi[lo:hi] psi^dag two at a time,
-each pair 2 x 2^N against the 2^N x 8 block of its two columns of J_x, J_x^2,
-J_y and J_y^2, the BLOCK / 2 pairs of a block in one stacked matmul: 8 * 4^N
-multiply-adds, against 64 * 4^N for the BLOCK x 2^N by 2^N x 4 BLOCK column
-slab this replaced (collective_variances of GHZ_x, in-process medians on a
-2-core machine: 20.3 -> 9.2 ms at N = 10, 231 -> 118 ms at N = 12). Any other
-state runs the dense J, each built per product and dropped after it (about
-1 ms at N = 10), so no 2^N x 2^N operator outlives the call; its moments are
-four dense products, 4 * 8^N. Memoizing the three J kept 3 * 16 * 4^N bytes
-live during and after every call: peak RSS of white-noise GHZ_x went 641 ->
-453 MB for `analyze` at N = 11 and 2468 -> 1705 MB for `depth` at N = 12
-when the memo went. A faster mixed route waits on the benchmark's pass-count
-tail (ROADMAP item 1; CHANGES.md FOUND lines 29 and 33). Both routes give the
-same bits: OpenBLAS sums each entry over all 2^N terms in the same order whatever
-the other two sizes of the product, as long as it is at least 2 x 4
-(tests/test_qfi.py pins this). A 2 x 2 product takes another kernel and
-loses the bits, so all four operators of a pair share one 2 x 8 product.
-`variance` serves any other observable.
+A pure state takes one of two routes, split at DENSE_PURE_MAX qubits (its
+comment gives the reasons). Above it, J_a psi comes from the operator table
+in `collective` (direction_terms and apply_terms) at O(N 2^N), and no
+2^N x 2^N array is formed: qfi_matrix reads 4 (Re<J_i psi|J_j psi> -
+<J_i><J_j>) through the completeness term above, and collective_variances
+Var(J_a) = ||J_a psi||^2 - (Re<psi|J_a psi>)^2 for x and y. At or below it,
+a pure state takes the mixed states' dense route with rho = psi psi^dag formed
+in the call, so the state's own rho stays unbuilt. That route multiplies by
+the dense J, each built per product and dropped after it (about 1 ms at
+N = 10), so no 2^N x 2^N operator outlives the call; its moments are four
+dense products, 4 * 8^N. Memoizing the three J kept 3 * 16 * 4^N bytes live
+during and after every call: peak RSS of white-noise GHZ_x went 641 -> 453 MB
+for `analyze` at N = 11 and 2468 -> 1705 MB for `depth` at N = 12 when the
+memo went. A faster mixed route waits on the benchmark's pass-count tail
+(ROADMAP item 1; CHANGES.md FOUND lines 29 and 33). J_z is diagonal, so its
+moments are sums over the diagonal of rho (|psi_i|^2 for a pure state) on
+either route. `variance` serves any other observable.
 """
 from __future__ import annotations
 
@@ -65,12 +59,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collective import AXES, check_direction, dense, slab_entries
+from .collective import AXES, apply_terms, check_direction, dense, direction_terms
 from .errors import NumericalError, ValidationError
 from .matcore import require_hermitian
 from .states import EPS_RANK, QuantumState, check_rank_cutoff
 
-BLOCK = 16  # rows (or columns) of each operator per slab of the pure route
+# Pure states on at most this many qubits take the dense route, larger ones
+# the operator table. Two reasons. Up to here the dense J psi is the faster
+# (the three products, best of 50 on a 2-core host: 53 us dense against 109 us
+# from the table at N = 6, 113 against 127 us at N = 7, 262 against 157 us at
+# N = 8). And only the dense route gives the bits that the benchmark's
+# reference stdout pins by sha256 at N = 4 and 6: the table moves the ~1e-32
+# QFI entries of Dicke_x(6) and the ~1e-17 off-diagonal ones of
+# excited-Dicke_y(6). The cost is in the moments, four dense products:
+# collective_variances of GHZ_x takes 0.20 and 0.30 ms at N = 4 and 6, where
+# the row slabs that both routes replaced took 0.04 and 0.12 ms; no benchmark
+# workload resolves that, as a `cli_cold` op takes about 230 ms. Once that
+# stdout is recorded again (ROADMAP item 1) the table can take every pure
+# state and this constant goes.
+DENSE_PURE_MAX = 6
 CLAMP = 1e-10
 
 
@@ -114,41 +121,18 @@ class QfiMatrix:
         return _clamp_nonneg(float(n @ self.mat @ n))
 
 
-def _pure_slabs(ops, n_qubits: int, pairs: bool = False):
-    """For each block of BLOCK rows (or columns, in pairs): the slab, a
-    zeroed buffer, with the block's entries of `ops` written in, and its first
-    index. The entries are cleared again before the next block is written."""
-    dim = 2 ** n_qubits
-    width = min(BLOCK, dim)
-    offsets, values = slab_entries(ops, n_qubits, width, pairs)
-    shape = (width // 2, dim, 2 * len(ops)) if pairs else (len(ops) * width, dim)
-    slab = np.zeros(shape, dtype=complex)
-    flat = slab.reshape(-1).view(float)
-    for b, lo in enumerate(range(0, dim, width)):
-        flat[offsets[b]] = values[b]
-        yield slab, lo
-        flat[offsets[b]] = 0.0
-
-
-def _pure_products(column: np.ndarray, n_qubits: int) -> list:
-    """J_x psi, J_y psi, J_z psi for psi a 2^N x 1 column, each 2^N x 1.
-
-    Each product is a row slab of 3 BLOCK rows times the column. OpenBLAS sums
-    each output over all 2^N terms in the same order whatever the number of
-    rows, from 2 up, so every bit is the dense J @ psi's."""
-    out = np.empty((3, column.shape[0], 1), dtype=complex)
-    width = min(BLOCK, column.shape[0])
-    for slab, lo in _pure_slabs(AXES, n_qubits):
-        out[:, lo:lo + width] = (slab @ column).reshape(3, width, 1)
-    return list(out)
+def _table_j(axis: str, a: np.ndarray, n_qubits: int) -> np.ndarray:
+    """J_axis a for a vector or the columns of a matrix a, from the operator
+    table at O(N 2^N) per column."""
+    return apply_terms(direction_terms(np.eye(3)[AXES.index(axis)], n_qubits), a)
 
 
 def qfi_matrix(state: QuantumState, eps_rank: float = EPS_RANK) -> QfiMatrix:
     """Assemble the collective-spin QFI matrix of a state; a diagonal entry
     above N^2 + 1e-6 is a NumericalError.
 
-    A pure state forms J_i psi from row slabs, bit for bit the dense J_i @ psi;
-    any other state multiplies its support by each dense J_i, built per
+    A pure state above DENSE_PURE_MAX qubits forms J_i psi from the operator
+    table; any other state multiplies its support by each dense J_i, built per
     product and dropped after it. The J_i V blocks are kept only for a
     rank-deficient support, whose completeness term reads them; a full-rank
     support holds one at a time. A white-noise
@@ -160,11 +144,12 @@ def qfi_matrix(state: QuantumState, eps_rank: float = EPS_RANK) -> QfiMatrix:
     if state.is_completely_mixed:
         check_rank_cutoff(eps_rank)
         return QfiMatrix(mat=np.zeros((3, 3)))
+    n = state.n_qubits
     lam, vs = state.support(eps_rank)
     vh = vs.conj().T
     full_rank = vs.shape[1] == state.dim
-    blocks = (_pure_products(vs, state.n_qubits) if state.is_pure
-              else (dense(axis, state.n_qubits) @ vs for axis in AXES))
+    table = state.is_pure and n > DENSE_PURE_MAX
+    blocks = (_table_j(axis, vs, n) if table else dense(axis, n) @ vs for axis in AXES)
     a, b = [], []
     for bi in blocks:
         a.append(vh @ bi)
@@ -194,7 +179,7 @@ def qfi_matrix(state: QuantumState, eps_rank: float = EPS_RANK) -> QfiMatrix:
     mat = out.real.copy()
     for i in range(3):
         mat[i, i] = _clamp_nonneg(mat[i, i])
-    n2 = float(state.n_qubits ** 2)
+    n2 = float(n ** 2)
     if np.any(np.diag(mat) > n2 + 1e-6):
         raise NumericalError(f"Fisher component exceeds N^2 = {n2}: {np.diag(mat)}")
     return QfiMatrix(mat=mat, imag_residue=residue)
@@ -262,38 +247,31 @@ def variance(state: QuantumState, a) -> float:
 
 
 def collective_variances(state: QuantumState) -> tuple:
-    """((Delta J_x)^2, (Delta J_y)^2, (Delta J_z)^2), bit for bit what
-    `variance` gives for each J.
+    """((Delta J_x)^2, (Delta J_y)^2, (Delta J_z)^2).
 
-    Only the diagonals of rho J_a and rho J_a^2 are formed. A pure state
-    takes BLOCK rows psi[lo:hi] psi^dag at a time, two by two: rows i and
-    i + 1 against columns i and i + 1 of J_x, J_x^2, J_y and J_y^2, one 2 x 8
-    product per pair and one stacked matmul per block, keeping the 8 diagonal
-    entries of each. OpenBLAS sums each entry over all 2^N terms in the same
-    order whatever the other two sizes, so the bits are the dense products'.
-    Any other state runs rho against the dense J and J^2, each built for its
-    product and dropped after it. J_z is diagonal, so (rho J_z)_ii is
-    rho_ii jz_i rounded once, and numpy sums a diagonal in the same order as
-    the trace. A mix of weight 0 is N/4 on
-    every axis, read off the weight."""
+    A pure state above DENSE_PURE_MAX qubits reads J_x psi and J_y psi off the
+    operator table: <J_a> = Re<psi|J_a psi> and <J_a^2> = ||J_a psi||^2.
+    Any other state forms only the diagonals of rho J_a and rho J_a^2, against
+    the dense J and J^2, each built for its product and dropped after it; a
+    pure one takes rho = psi psi^dag for the call, leaving its own rho unbuilt.
+    On that route the result is bit for bit what `variance` gives for each J:
+    J_z is diagonal, so (rho J_z)_ii is rho_ii jz_i rounded once, and numpy
+    sums a diagonal in the same order as the trace. A mix of weight 0 is N/4
+    on every axis, read off the weight."""
     n, dim = state.n_qubits, state.dim
     if state.is_completely_mixed:
         return (n / 4,) * 3
     psi = state.vector
-    if psi is None:
-        rho = state.rho
+    if psi is not None and n > DENSE_PURE_MAX:
+        bra = psi.conj()
+        diag, moments = psi * bra, []
+        for axis in ("x", "y"):
+            jpsi = _table_j(axis, psi, n)
+            moments += [bra * jpsi, jpsi.conj() * jpsi]
+    else:
+        rho = state.rho if psi is None else np.outer(psi, psi.conj())
         diag = np.diagonal(rho).copy()
         moments = [np.diagonal(rho @ dense(op, n)).copy() for op in ("x", "xx", "y", "yy")]
-    else:
-        bra, width = psi.conj(), min(BLOCK, dim)
-        rows, parts = np.empty((width, dim), dtype=complex), []
-        for slab, lo in _pure_slabs(("x", "xx", "y", "yy"), n, pairs=True):
-            np.multiply(psi[lo:lo + width, None], bra, out=rows)  # np.outer, into one buffer
-            # entry (p, r, 2q + r) is row and column lo + 2p + r of rho J_q
-            prod = (rows.reshape(width // 2, 2, dim) @ slab).reshape(width // 2, 2, 4, 2)
-            ends = np.diagonal(prod, axis1=1, axis2=3).transpose(1, 0, 2).reshape(4, width)
-            parts.append([np.diagonal(rows[:, lo:lo + width]).copy(), *ends])
-        diag, *moments = (np.concatenate(p) for p in zip(*parts))
     out = []
     for first, second in (moments[:2], moments[2:]):
         mean = complex(first.sum()).real

@@ -7,8 +7,8 @@ from spinqfi import collective
 @pytest.fixture
 def doubled_generators(monkeypatch):
     """Every route reads J_a as 2 J_a (and J_a^2 as 4 J_a^2): the table of
-    operator entries is doubled, and the memoized dense J and slab entries
-    are dropped before and after, so no route keeps the true ones."""
+    operator entries is doubled, and the memoized dense J are dropped before
+    and after, so no route keeps the true ones."""
     entries = collective._entries
 
     def doubled(op, n_qubits, rows):
@@ -16,10 +16,7 @@ def doubled_generators(monkeypatch):
         return [(cols, part, scale * np.asarray(values))
                 for cols, part, values in entries(op, n_qubits, rows)]
 
-    caches = (collective._collective_cached, collective.slab_entries)
-    for cache in caches:
-        cache.cache_clear()
+    collective._collective_cached.cache_clear()
     monkeypatch.setattr(collective, "_entries", doubled)
     yield
-    for cache in caches:
-        cache.cache_clear()
+    collective._collective_cached.cache_clear()

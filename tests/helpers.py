@@ -62,6 +62,15 @@ def variance_reference(rho: np.ndarray, op: np.ndarray) -> float:
     return float(np.trace(rho @ op @ op).real - mean ** 2)
 
 
+def pure_moments_reference(psi: np.ndarray, ops) -> tuple:
+    """(QFI matrix, variances) of a pure state from the products J_i psi:
+    4 Cov(J_i, J_j), Cov(J_i, J_j) = Re<J_i psi|J_j psi> - <J_i><J_j>."""
+    jpsi = [op @ psi for op in ops]
+    mean = np.array([np.vdot(psi, v).real for v in jpsi])
+    cov = np.array([[np.vdot(u, v).real for v in jpsi] for u in jpsi]) - np.outer(mean, mean)
+    return 4.0 * cov, np.diag(cov).copy()
+
+
 # ---------------------------------------------------------------- generators
 
 def haar_ket(dim: int, rng) -> np.ndarray:

@@ -147,26 +147,21 @@ def test_dumps_matches_the_recursive_serializer_on_a_raw_matrix_document():
 
 
 def test_analysis_document_leaves_rho_unbuilt_for_a_pure_state(monkeypatch):
-    built, shapes = [], set()
-    from_spec, slabs = states.from_spec, qfi._pure_slabs
+    # at N = 8 a pure state reads J psi off the operator table: no dense J
+    built, dense = [], []
+    from_spec = states.from_spec
 
     def spy_state(spec, cap):
         built.append(from_spec(spec, cap=cap))
         return built[-1]
 
-    def spy_slabs(*args, **kwargs):
-        for slab, lo in slabs(*args, **kwargs):
-            shapes.add(slab.shape)
-            yield slab, lo
-
     monkeypatch.setattr(states, "from_spec", spy_state)
-    monkeypatch.setattr(qfi, "_pure_slabs", spy_slabs)
+    monkeypatch.setattr(qfi, "dense", lambda *args: dense.append(args))
     before = collective._collective_cached.cache_info()
     cli.analysis_document(states.StateSpec("ghz", 8, "y"), AnalysisConfig())
     assert collective._collective_cached.cache_info() == before
-    dim = built[0].dim
     assert built[0].is_pure and built[0]._rho is None
-    assert shapes == {(3 * qfi.BLOCK, dim), (qfi.BLOCK // 2, dim, 8)} and qfi.BLOCK < dim
+    assert dense == [] and built[0].n_qubits > qfi.DENSE_PURE_MAX
 
 
 @pytest.mark.parametrize("argv", [
@@ -174,23 +169,36 @@ def test_analysis_document_leaves_rho_unbuilt_for_a_pure_state(monkeypatch):
 ], ids=["analyze", "depth", "crb"])
 def test_pure_commands_read_no_dense_collective_operator(tmp_path, capsys, monkeypatch, argv):
     # crb's phase rotation is one single-qubit rotation on every qubit, read
-    # off the N = 1 operators; nothing reads a 2^N x 2^N J
-    path = write_spec(tmp_path, "ghz6.json", {"kind": "ghz", "n_qubits": 6, "basis": "x"})
-    assert main(argv[:1] + [path] + argv[1:]) == 0  # the N = 1 operators are cached now
-    cached, read = collective._collective_cached, []
+    # off the memoized N = 1 operators. At N = 6 a pure state's QFI and
+    # moments build one 64 x 64 J (or J^2) per product and keep none; at N = 7
+    # they read the operator table, and no dense J is built at all.
+    products = {"analyze": 7, "depth": 3, "crb": 3}[argv[0]]  # 3 for the QFI, 4 for the moments
+    cached, dense = collective._collective_cached, collective.dense
+    for n in (6, 7):
+        path = write_spec(tmp_path, f"ghz{n}.json", {"kind": "ghz", "n_qubits": n, "basis": "x"})
+        assert main(argv[:1] + [path] + argv[1:]) == 0  # the N = 1 operators are cached now
+        read, shapes = [], []
 
-    def spy(axis, n_qubits):
-        read.append(n_qubits)
-        return cached(axis, n_qubits)
+        def spy(axis, n_qubits):
+            read.append(n_qubits)
+            return cached(axis, n_qubits)
 
-    before = cached.cache_info()
-    with monkeypatch.context() as m:
-        m.setattr(collective, "_collective_cached", spy)
-        assert main(argv[:1] + [path] + argv[1:]) == 0
-    if argv[0] == "crb":
-        assert set(read) == {1}
-    else:
-        assert read == [] and cached.cache_info() == before
+        def spy_dense(op, n_qubits):
+            out = dense(op, n_qubits)
+            shapes.append(out.shape)
+            return out
+
+        before = cached.cache_info()
+        with monkeypatch.context() as m:
+            m.setattr(collective, "_collective_cached", spy)
+            m.setattr(collective, "dense", spy_dense)
+            m.setattr(qfi, "dense", spy_dense)
+            assert main(argv[:1] + [path] + argv[1:]) == 0
+        if argv[0] == "crb":
+            assert set(read) == {1}
+        else:
+            assert read == [] and cached.cache_info() == before
+        assert shapes == ([(64, 64)] * products if n == 6 else []), n
     capsys.readouterr()
 
 
@@ -216,16 +224,17 @@ def test_mixed_commands_read_no_dense_collective_operator(tmp_path, capsys, monk
 
 
 def test_pure_analysis_peak_memory_stays_below_one_dense_j():
-    # 16 4^N bytes is one dense J; the slab entries are built cold here
-    collective.slab_entries.cache_clear()
-    spec = states.StateSpec("ghz", 10, "x")
-    tracemalloc.start()
-    try:
-        cli.analysis_document(spec, AnalysisConfig())
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 4 ** 10
+    # 16 4^N bytes is one dense J; the bound is 64 complex 2^N vectors, linear
+    # in 2^N: 1 MB at N = 10 and 4 MB at N = 12
+    for n in (10, 12):
+        spec = states.StateSpec("ghz", n, "x")
+        tracemalloc.start()
+        try:
+            cli.analysis_document(spec, AnalysisConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 64 * 2 ** n < 16 * 4 ** n, n
 
 
 def test_noisy_analysis_peak_memory_stays_below_seven_dense_j():

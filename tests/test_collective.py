@@ -33,43 +33,22 @@ def test_collective_square_takes_only_the_transverse_axes():
         collective.dense("xx", 13)
 
 
-@pytest.mark.parametrize("pairs", [False, True], ids=["rows", "columns"])
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 6])
-def test_slab_entries_write_the_dense_blocks_and_clear_to_zero(n, pairs):
-    # each block of the slab holds the dense operators' rows (or, two at a
-    # time, their columns) to the last bit, +0.0 zeros included, and clearing
-    # leaves +0.0 everywhere
-    dim, ops = 2 ** n, collective.OPERATORS
-    width = min(4, dim)
-    offsets, values = collective.slab_entries(ops, n, width, pairs)
-    shape = (width // 2, dim, 2 * len(ops)) if pairs else (len(ops) * width, dim)
-    slab = np.zeros(shape, dtype=complex)
-    flat = slab.reshape(-1).view(float)
-    full = [collective.dense(op, n) for op in ops]
-    for b, lo in enumerate(range(0, dim, width)):
-        flat[offsets[b]] = values[b]
-        if pairs:
-            want = np.stack([np.concatenate([d[:, i:i + 2] for d in full], axis=1)
-                             for i in range(lo, lo + width, 2)])
-        else:
-            want = np.concatenate([d[lo:lo + width] for d in full])
-        assert slab.tobytes() == want.tobytes()
-        flat[offsets[b]] = 0.0
-        assert slab.tobytes() == bytes(slab.nbytes)
-    assert not offsets.flags.writeable and not values.flags.writeable
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
 def test_direction_terms_apply_j_direction(n):
-    # the bit-flip pairs act as the Kronecker-built J_n on vectors and on rows
+    # apply_terms with the bit-flip pairs acts as the Kronecker-built J_n on a
+    # vector and on the columns of a 2^N x k matrix
     rng = np.random.default_rng(60 + n)
     a = rng.normal(size=(2 ** n, 3)) + 1j * rng.normal(size=(2 ** n, 3))
     for d in [(0.0, 0.0, 1.0), (0.0, -1.0, 0.0), helpers.random_direction(rng)]:
         gen = sum(c * helpers.collective_op(axis, n) for c, axis in zip(d, "xyz"))
         pairs = collective.direction_terms(d, n)
         assert len(pairs) == sum(n if axis != "z" else 1 for c, axis in zip(d, "xyz") if c)
-        got = sum(values[:, None] * a[cols] for cols, values in pairs)
+        got = collective.apply_terms(pairs, a)
+        assert got.shape == a.shape
         np.testing.assert_allclose(got, gen @ a, rtol=0, atol=1e-13)
+        vector = collective.apply_terms(pairs, a[:, 0])
+        assert vector.shape == (2 ** n,)
+        np.testing.assert_allclose(vector, gen @ a[:, 0], rtol=0, atol=1e-13)
 
 
 def test_collective_x_spectrum_three_qubits():

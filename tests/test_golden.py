@@ -3,7 +3,7 @@
 Each file in golden/specs/ is a state spec; golden/<name>.analyze.json and
 golden/<name>.depth.json hold the CLI's stdout for it. The corpus covers
 every StateSpec kind plus N = 1 and N = 2 edge cases, and ghz_n8_y, a pure
-state large enough that its moments run over several row blocks. CRB_CASES runs `crb`
+state large enough to read J psi off the operator table. CRB_CASES runs `crb`
 on some of those specs; golden/<name>.crb-<measurement>-<direction>.json
 holds its stdout (theta 0.1). LANDSCAPE_CASES runs `landscape` with fixed
 seeds; golden/landscape_<case>.csv holds its stdout. `landmarks` stays out of

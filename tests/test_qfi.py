@@ -305,14 +305,16 @@ def test_direction_output_clamped_to_zero():
 
 
 def test_every_qfi_route_caps_components_at_n_squared(doubled_generators):
-    # doubled generators quadruple the QFI: GHZ_z at N = 4 gets F_z = 64 > N^2,
-    # on the pure slab route and on the dense route of the same state as a rho
-    pure = states.ghz(4, "z")
-    for st in (pure, wrap(np.outer(pure.vector, pure.vector.conj()), 4)):
-        for route in (qfi.qfi_matrix, qfi.fisher_triple,
-                      lambda state: qfi.qfi_direction(state, (1.0, 0.0, 0.0))):
-            with pytest.raises(NumericalError, match="exceeds N\\^2 = 16.0"):
-                route(st)
+    # doubled generators quadruple the QFI: GHZ_z gets F_z = 4 N^2 > N^2, on
+    # each pure route (dense at N = 4, the operator table at N = 7) and on the
+    # dense route of the same state as a rho
+    for n in (4, 7):
+        pure = states.ghz(n, "z")
+        for st in (pure, wrap(np.outer(pure.vector, pure.vector.conj()), n)):
+            for route in (qfi.qfi_matrix, qfi.fisher_triple,
+                          lambda state: qfi.qfi_direction(state, (1.0, 0.0, 0.0))):
+                with pytest.raises(NumericalError, match=f"exceeds N\\^2 = {n * n}.0"):
+                    route(st)
 
 
 def test_average_qfi_is_third_of_trace():
@@ -347,8 +349,8 @@ def _evolved_dense():
 
 MOMENT_STATES = {
     "ghz": lambda: states.ghz(9, "x"),
-    "ghz_y_n10": lambda: states.ghz(10, "y"),  # 32 row blocks of the pure route
-    "dicke_n7": lambda: states.dicke(7, 2, "x"),  # 4 row blocks
+    "ghz_y_n10": lambda: states.ghz(10, "y"),
+    "dicke_n7": lambda: states.dicke(7, 2, "x"),  # the smallest table route
     "dicke": lambda: states.dicke(8, 3, "y"),
     "product_bloch": lambda: states.product_bloch((0.6, 0.0, 0.8), 6),
     "even_parity": lambda: states.even_parity([0.6, 0.48j, 0.64], 8),
@@ -361,11 +363,21 @@ MOMENT_STATES = {
     "mix": lambda: states.mix([states.ghz(6, "y"), states.dicke(6, 2, "z")], [0.3, 0.7]),
     "evolved_dense": _evolved_dense,
 }
+# A pure state above qfi.DENSE_PURE_MAX qubits reads J psi off the operator
+# table, which sums in another order than the dense products. Up to N = 10,
+# where an entry reaches N^2 = 100, the two routes agree within
+TABLE_ATOL = 1e-12
 
 
 @pytest.mark.parametrize("kind", sorted(MOMENT_STATES))
 def test_collective_variances_equal_variance_bit_for_bit(kind):
-    _assert_moments_bitwise(MOMENT_STATES[kind]())
+    state = MOMENT_STATES[kind]()
+    if not (state.is_pure and state.n_qubits > qfi.DENSE_PURE_MAX):
+        _assert_moments_bitwise(state)
+        return
+    ops = collective.collective_all(state.n_qubits)
+    np.testing.assert_allclose(qfi.collective_variances(state),
+                               [qfi.variance(state, j) for j in ops], rtol=0, atol=TABLE_ATOL)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -381,7 +393,7 @@ def test_collective_variances_bitwise_on_random_mixed_states(n, rank, seed):
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(n=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1))
 def test_pure_collective_variances_match_the_numpy_oracle(n, seed):
-    # the pure slab route against the literal trace formula, not the dense route
+    # both pure routes against the literal trace formula
     ket = helpers.haar_ket(2 ** n, np.random.default_rng(seed))
     state = states._pure_state(ket, n)
     rho = np.outer(ket, ket.conj())
@@ -390,44 +402,7 @@ def test_pure_collective_variances_match_the_numpy_oracle(n, seed):
     assert state._rho is None
 
 
-# ------------------------------------------------------------ pure slab route
-
-@pytest.mark.parametrize("n", range(1, 11))
-def test_blas_sums_each_entry_in_one_order_whatever_the_slab(n):
-    # The pure route rests on this: OpenBLAS sums each entry of a product over
-    # all K terms in the same order whatever the other two sizes, as long as
-    # the product is at least 2 x 4. Random data, so no exact zero hides an
-    # order change.
-    dim = 2 ** n
-    rng = np.random.default_rng(n)
-
-    def draw(*shape):
-        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
-
-    a, column = draw(dim, dim), draw(dim, 1)
-    full = a @ column
-    for rows in sorted({2, 3, min(3 * qfi.BLOCK, dim)}):
-        for lo in range(0, dim - rows + 1, rows):
-            slab = np.ascontiguousarray(a[lo:lo + rows])
-            assert (slab @ column).tobytes() == full[lo:lo + rows].tobytes()
-    # The moments: BLOCK / 2 pairs of rows of rho stacked, each against
-    # columns i, i + 1 of four operators, one 2 x 8 product per pair, every
-    # entry as in rho @ op. At N = 1 rho @ op is 2 x 2 and takes another
-    # kernel, so the four operators are multiplied side by side there.
-    rho, ops = draw(dim, dim), [draw(dim, dim) for _ in range(4)]
-    if n == 1:
-        fulls = np.split(rho @ np.concatenate(ops, axis=1), 4, axis=1)
-    else:
-        fulls = [rho @ op for op in ops]
-    width = min(qfi.BLOCK, dim)
-    for lo in range(0, dim, width):
-        pairs = range(lo, lo + width, 2)
-        slab = np.stack([np.concatenate([op[:, i:i + 2] for op in ops], axis=1) for i in pairs])
-        want = np.stack([np.concatenate([f[i:i + 2, i:i + 2] for f in fulls], axis=1)
-                         for i in pairs])
-        got = np.ascontiguousarray(rho[lo:lo + width]).reshape(width // 2, 2, dim) @ slab
-        assert got.shape == (width // 2, 2, 8) and got.tobytes() == want.tobytes()
-
+# ------------------------------------------------------------ pure routes
 
 def _pure_kinds(n):
     """One state of each pure kind that admits N qubits."""
@@ -453,22 +428,77 @@ def _dense_variance(state, j, square):
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_pure_route_matches_the_dense_operators_bit_for_bit(n, monkeypatch):
+    # Bit for bit at N <= DENSE_PURE_MAX, where a pure state multiplies by the
+    # dense J; above it the operator table is held within TABLE_ATOL of the
+    # dense operators and of the Kronecker-built oracle.
     ops = collective.collective_all(n)
     squares = [j @ j for j in ops]
+    oracle_ops = [helpers.collective_op(axis, n) for axis in "xyz"]
+    memo = dict(zip(collective.AXES, ops))
     for kind, state in _pure_kinds(n).items():
-        column = state.vector.reshape(-1, 1)
-        for got, j in zip(qfi._pure_products(column, n), ops):
-            assert got.tobytes() == (j @ column).tobytes(), kind
         dense = [_dense_variance(state, j, sq) for j, sq in zip(ops, squares)]
-        assert _hex(qfi.collective_variances(state)) == _hex(dense), kind
-        if n <= 6:
-            assert _hex(dense) == _hex(qfi.variance(state, j) for j in ops)
+        variances = qfi.collective_variances(state)
         pure = qfi.qfi_matrix(state)
         with monkeypatch.context() as m:
-            m.setattr(qfi, "_pure_products", lambda col, n: [j @ col for j in ops])
+            m.setattr(qfi, "DENSE_PURE_MAX", n)
+            m.setattr(qfi, "dense", lambda op, n_qubits: memo[op] if op in memo
+                      else collective.dense(op, n_qubits))
             reference = qfi.qfi_matrix(state)
-        assert _hex(pure.mat.ravel()) == _hex(reference.mat.ravel()), kind
-        assert float.hex(pure.imag_residue) == float.hex(reference.imag_residue)
+        if n <= qfi.DENSE_PURE_MAX:
+            assert _hex(variances) == _hex(dense), kind
+            assert _hex(dense) == _hex(qfi.variance(state, j) for j in ops), kind
+            assert _hex(pure.mat.ravel()) == _hex(reference.mat.ravel()), kind
+            assert float.hex(pure.imag_residue) == float.hex(reference.imag_residue), kind
+            continue
+        oracle = helpers.pure_moments_reference(state.vector, oracle_ops)
+        for want in (dense, oracle[1]):
+            np.testing.assert_allclose(variances, want, rtol=0, atol=TABLE_ATOL, err_msg=kind)
+        for want in (reference.mat, oracle[0]):
+            np.testing.assert_allclose(pure.mat, want, rtol=0, atol=TABLE_ATOL, err_msg=kind)
+        assert pure.imag_residue <= TABLE_ATOL, kind
+
+
+def _table_states(n):
+    """Two seeded Haar kets and one state of each pure kind, built as pure states."""
+    rng = np.random.default_rng(700 + n)
+    kets = {f"haar{i}": states._pure_state(helpers.haar_ket(2 ** n, rng), n) for i in range(2)}
+    return {**kets, **_pure_kinds(n)}
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_table_route_meets_the_numpy_oracle(n):
+    # the double sum over the full eigensystem and the literal trace formula,
+    # each from the Kronecker-built J; from_matrix would take the dense route
+    assert n > qfi.DENSE_PURE_MAX
+    for kind, state in _table_states(n).items():
+        assert state.is_pure, kind
+        rho = np.outer(state.vector, state.vector.conj())
+        np.testing.assert_allclose(qfi.qfi_matrix(state).mat, helpers.gamma_reference(rho, n),
+                                   rtol=0, atol=1e-10, err_msg=kind)
+        ref = [helpers.variance_reference(rho, helpers.collective_op(axis, n)) for axis in "xyz"]
+        np.testing.assert_allclose(qfi.collective_variances(state), ref, rtol=0, atol=1e-10,
+                                   err_msg=kind)
+        assert state._rho is None, kind
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_pure_routes_agree_across_the_threshold(n, monkeypatch):
+    # the same states through the dense route (threshold n) and the operator
+    # table (threshold n - 1); counting the dense J shows which route ran
+    built = []
+    real = qfi.dense
+    monkeypatch.setattr(qfi, "dense", lambda op, n_qubits: built.append(op) or real(op, n_qubits))
+    for kind, state in _table_states(n).items():
+        runs = {}
+        for limit in (n, n - 1):
+            built.clear()
+            monkeypatch.setattr(qfi, "DENSE_PURE_MAX", limit)
+            runs[limit] = qfi.qfi_matrix(state).mat, qfi.collective_variances(state)
+            assert built == (["x", "y", "z", "x", "xx", "y", "yy"] if limit == n else []), kind
+        (dense_mat, dense_var), (table_mat, table_var) = runs[n], runs[n - 1]
+        np.testing.assert_allclose(table_mat, dense_mat, rtol=0, atol=1e-12, err_msg=kind)
+        np.testing.assert_allclose(table_var, dense_var, rtol=0, atol=1e-12, err_msg=kind)
+        assert state._rho is None, kind
 
 
 def _mixed_kinds(n):
